@@ -12,7 +12,11 @@ transported backward through the adjoint linearized system, whose right-hand
 side -dF(z)^T Z is evaluated matrix-free: since F = J grad H with J the
 canonical symplectic map, -dF^T Z equals the Hessian-vector product
 Hess(H) . (J Z), computed by a central finite difference of grad H along the
-single direction J Z (two flow-field evaluations per call).
+single direction J Z (two flow-field evaluations per call). The difference
+step is the fixed relative step FD_STEP, the cube root of machine epsilon,
+which balances truncation against rounding for a central difference; it
+stays a constant until the exact discrete adjoint of the RK4 stages
+replaces the difference.
 """
 
 from __future__ import annotations
@@ -21,18 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import (
-    FunctionalMetric,
-    assemble_metric,
-    lumped_vertex_weights,
-    metric_form_grad_x,
-    solve_spd,
-)
+from .fem import FunctionalMetric, assemble_metric, metric_form_grad_x, solve_spd
 from .fshape import AdjointState, DiscreteFshape, ShootingState
 from .kernels import RadialKernelSpec, kernel_conv, quad_form, quad_form_grad_x
 from .varifold import DiscreteVarifold, VarifoldKernels, grad_fidelity
 
-DEFAULT_FD_EPSILON = float(np.finfo(float).eps ** (1.0 / 3.0))
+FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -44,15 +42,12 @@ class DynamicsConfig:
     kernel: RadialKernelSpec
     metric: FunctionalMetric
     n_steps: int = 20
-    fd_epsilon: float = DEFAULT_FD_EPSILON
 
     def __post_init__(self):
         if self.gamma_V <= 0 or self.gamma_f <= 0:
             raise ValueError("gamma_V and gamma_f must be positive")
         if self.n_steps < 2:
             raise ValueError("n_steps must be at least 2")
-        if self.fd_epsilon <= 0:
-            raise ValueError("fd_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,7 @@ def _adjoint_rhs(
         zero = np.zeros_like
         return zero(Zx), zero(Zf), zero(Zp), zero(Zpf)
     state_mag = max(np.abs(x).max(), np.abs(f).max(), np.abs(p).max(), np.abs(pf).max())
-    eps = cfg.fd_epsilon * (1.0 + state_mag) / scale
+    eps = FD_STEP * (1.0 + state_mag) / scale
     gp = _hamiltonian_gradient(
         template, cfg, x + eps * vx, f + eps * vf, p + eps * vp, pf + eps * vpf
     )
@@ -213,14 +208,18 @@ def _adjoint_rhs(
 
 
 def _midpoint_state(nodes, k: int):
-    """State at t_{k-1/2} from stored samples, 4th-order accurate.
+    """State at t_{k-1/2} from stored samples.
 
     Cubic interpolation through four neighboring nodes (one-sided stencils at
-    the ends); falls back to averaging when fewer than four samples exist.
+    the ends), 4th-order accurate; with only three samples (n_steps 2), the
+    quadratic through all three. The interpolated stage states still differ
+    from the forward pass's own RK4 stages, so at large momenta the gradient
+    keeps an error that only the exact discrete adjoint of the stages removes.
     """
     N = len(nodes) - 1
     if N < 3:
-        return tuple(0.5 * (a + b) for a, b in zip(nodes[k - 1], nodes[k]))
+        w = (0.375, 0.75, -0.125) if k == 1 else (-0.125, 0.75, 0.375)
+        return tuple(w[0] * a + w[1] * b + w[2] * c for a, b, c in zip(*nodes))
     if k == 1:
         idx, w = (0, 1, 2, 3), (0.3125, 0.9375, -0.3125, 0.0625)
     elif k == N:
@@ -271,16 +270,22 @@ def integrate_adjoint_backward(
 
 
 def euclidean_objective_gradient(
-    p0: np.ndarray, pf: np.ndarray, problem: MatchProblem
+    p0: np.ndarray,
+    pf: np.ndarray,
+    problem: MatchProblem,
+    trajectory: Trajectory | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain partial derivatives (dJ/dp0, dJ/dpf) of the matching objective."""
+    """Plain partial derivatives (dJ/dp0, dJ/dpf) of the matching objective.
+
+    ``trajectory`` is the forward shot of (p0, pf), when the caller already
+    has it; otherwise it is shot here.
+    """
     template = problem.template
     cfg = problem.dynamics
-    state0 = ShootingState(
-        x=template.vertices, f=template.signals, p=p0, pf=pf
-    )
-    traj = integrate_forward(state0, template, cfg)
-    end_state = traj.final
+    if trajectory is None:
+        state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
+        trajectory = integrate_forward(state0, template, cfg)
+    end_state = trajectory.final
     fs1 = template.with_(vertices=end_state.x, signals=end_state.f)
     gx, gf = grad_fidelity(fs1, problem.target, problem.fidelity_kernels)
     end = AdjointState(
@@ -289,21 +294,8 @@ def euclidean_objective_gradient(
         Pvar=np.zeros_like(p0),
         Pf=np.zeros_like(pf),
     )
-    adj0 = integrate_adjoint_backward(traj, end, template, cfg)
+    adj0 = integrate_adjoint_backward(trajectory, end, template, cfg)
     grad_p0 = kernel_conv(cfg.kernel, template.vertices, template.vertices, p0)
     grad_p0 = grad_p0 / cfg.gamma_V + adj0.Pvar
     h0 = _solve_signal_velocity(template, cfg, template.vertices, np.asarray(pf, float))
     return grad_p0, h0 / cfg.gamma_f + adj0.Pf
-
-
-def objective_gradient(
-    p0: np.ndarray, pf: np.ndarray, problem: MatchProblem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the matching objective w.r.t. the initial momenta.
-
-    The pf block is returned w.r.t. the L2 metric of the template, i.e.
-    preconditioned by the lumped mass matrix, so momenta updates translate
-    to mesh-quality-independent signal velocities.
-    """
-    grad_p0, grad_pf = euclidean_objective_gradient(p0, pf, problem)
-    return grad_p0, lumped_vertex_weights(problem.template) * grad_pf

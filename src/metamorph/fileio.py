@@ -437,7 +437,6 @@ DEFAULT_CONFIG: dict = {
     ],
     "step_init": 1.0,
     "grad_tol": 1e-6,
-    "fd_epsilon": None,
 }
 
 
@@ -488,7 +487,6 @@ def config_from_dict(data: dict) -> MatchConfig:
             scale_schedule=tuple(stages),
             step_init=float(merged["step_init"]),
             grad_tol=float(merged["grad_tol"]),
-            fd_epsilon=None if merged["fd_epsilon"] is None else float(merged["fd_epsilon"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserError(f"config: {exc}") from None
@@ -530,7 +528,6 @@ def config_to_dict(cfg: MatchConfig) -> dict:
         ],
         "step_init": cfg.step_init,
         "grad_tol": cfg.grad_tol,
-        "fd_epsilon": cfg.fd_epsilon,
     }
 
 

@@ -14,6 +14,12 @@ for H1), so every frequency of the signal momentum moves at a comparable
 rate. The descent accepts a step only if J strictly decreases, shrinking the
 step on rejection and growing it on acceptance. Momenta start at zero, so
 the whole procedure is deterministic.
+
+Each momenta pair is shot once. ``objective`` returns the trajectory with
+J, and the descent keeps the trajectory of the accepted candidate: the
+gradient transports its adjoint backward along it, the next stage scores it
+under its rescaled fidelity kernels (the flow does not depend on them), and
+the result returns it.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ class MatchConfig:
     step_shrink: float = 0.5
     step_grow: float = 1.2
     grad_tol: float = 1e-6
-    fd_epsilon: float | None = None
 
     def __post_init__(self):
         if min(self.gamma_V, self.gamma_f, self.gamma_W) <= 0:
@@ -83,16 +88,12 @@ class MatchConfig:
             raise ValueError("scale_schedule must contain at least one stage")
 
     def dynamics(self) -> DynamicsConfig:
-        kwargs = {}
-        if self.fd_epsilon is not None:
-            kwargs["fd_epsilon"] = self.fd_epsilon
         return DynamicsConfig(
             gamma_V=self.gamma_V,
             gamma_f=self.gamma_f,
             kernel=self.deformation_kernel,
             metric=self.metric,
             n_steps=self.n_steps,
-            **kwargs,
         )
 
 
@@ -143,22 +144,25 @@ def _problem(
 
 def objective(
     p0: np.ndarray, pf: np.ndarray, problem: MatchProblem
-) -> tuple[float, float, float]:
-    """Objective value and its (energy, fidelity) split; J = energy + gamma_W * fidelity."""
-    J, energy, fid, _ = _objective_with_traj(p0, pf, problem)
-    return J, energy, fid
-
-
-def _objective_with_traj(p0, pf, problem: MatchProblem):
+) -> tuple[float, float, float, Trajectory]:
+    """Objective value, its (energy, fidelity) split and the forward shot;
+    J = energy + gamma_W * fidelity."""
     template = problem.template
     cfg = problem.dynamics
     state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
     energy = reduced_hamiltonian(state0, template, cfg)
     traj = integrate_forward(state0, template, cfg)
+    return (*_score(energy, traj, problem), traj)
+
+
+def _score(
+    energy: float, traj: Trajectory, problem: MatchProblem
+) -> tuple[float, float, float]:
+    """(J, energy, fidelity) of a shot whose energy and trajectory are known."""
     end = traj.final
-    fs1 = template.with_(vertices=end.x, signals=end.f)
+    fs1 = problem.template.with_(vertices=end.x, signals=end.f)
     fid = fidelity(fs1, problem.target, problem.fidelity_kernels)
-    return energy + problem.gamma_W * fid, energy, fid, traj
+    return energy + problem.gamma_W * fid, energy, fid
 
 
 def shoot(
@@ -190,16 +194,20 @@ def match(
     step = cfg.step_init
     converged = False
     reason = "max iterations"
+    traj = None
     for stage in cfg.scale_schedule:
         problem = _problem(source, target_var, cfg, stage)
-        J, energy, fid, _ = _objective_with_traj(p0, pf, problem)
+        if traj is None:
+            J, energy, fid, traj = objective(p0, pf, problem)
+        else:
+            J, energy, fid = _score(energy, traj, problem)
         if not np.isfinite(J):
             raise RuntimeError(f"objective is not finite at initialization ({J})")
         history.append((iteration, J, energy, fid))
         converged = False
         reason = "max iterations"
         for _ in range(stage.iters):
-            gp, gpf = euclidean_objective_gradient(p0, pf, problem)
+            gp, gpf = euclidean_objective_gradient(p0, pf, problem, trajectory=traj)
             gpf = pf_metric @ gpf
             gnorm = float(np.sqrt((gp**2).sum() + (gpf**2).sum()))
             if gnorm < cfg.grad_tol:
@@ -211,13 +219,12 @@ def match(
                 cand_p0 = p0 - step * gp
                 cand_pf = pf - step * gpf
                 try:
-                    Jc, ec, fc, _ = _objective_with_traj(cand_p0, cand_pf, problem)
+                    Jc, ec, fc, tc = objective(cand_p0, cand_pf, problem)
                 except (ValueError, RuntimeError):
                     # blown-up candidate (degenerate cells, solver failure)
                     Jc = np.inf
-                    ec = fc = np.inf
                 if np.isfinite(Jc) and Jc < J:
-                    p0, pf = cand_p0, cand_pf
+                    p0, pf, traj = cand_p0, cand_pf, tc
                     J, energy, fid = Jc, ec, fc
                     iteration += 1
                     history.append((iteration, J, energy, fid))
@@ -231,12 +238,10 @@ def match(
                 break
         if reason == "step underflow":
             break
-    final_problem = _problem(source, target_var, cfg, cfg.scale_schedule[-1])
-    _, _, _, trajectory = _objective_with_traj(p0, pf, final_problem)
     return MatchResult(
         p0=p0,
         pf=pf,
-        trajectory=trajectory,
+        trajectory=traj,
         objective_history=tuple(history),
         converged=converged,
         reason=reason,

@@ -6,21 +6,26 @@ from metamorph import (
     DynamicsConfig,
     FunctionalMetric,
     GrassmannKernelSpec,
+    MatchConfig,
     MatchProblem,
     RadialKernelSpec,
     ShootingState,
     VarifoldKernels,
-    forward_rhs,
     integrate_adjoint_backward,
     integrate_forward,
     kernel_conv,
     lumped_vertex_weights,
-    objective_gradient,
+    match,
+    objective,
     quad_form,
     reduced_hamiltonian,
     to_varifold,
 )
-from metamorph.matching import _objective_with_traj
+from metamorph.cli import GRADCHECK_TOL
+from metamorph.dynamics import euclidean_objective_gradient, forward_rhs
+from metamorph.kernels import gaussian
+from metamorph.matching import ScaleStage
+from metamorph.meshes import icosphere
 
 from conftest import jittered_grid, triangle_strip
 
@@ -299,12 +304,11 @@ def test_adjoint_block_structure_signal_decoupled():
 
 
 def _gradient_fd_worst(problem, p0, pf, directions=10, eps=1e-5, seed=0):
-    gp, gpf = objective_gradient(p0, pf, problem)
-    gpf_euclid = gpf / lumped_vertex_weights(problem.template)
+    gp, gpf = euclidean_objective_gradient(p0, pf, problem)
     rng = np.random.default_rng(seed)
 
     def J(a, b):
-        return _objective_with_traj(a, b, problem)[0]
+        return objective(a, b, problem)[0]
 
     worst = 0.0
     for _ in range(directions):
@@ -316,7 +320,7 @@ def _gradient_fd_worst(problem, p0, pf, directions=10, eps=1e-5, seed=0):
         fd = (J(p0 + eps * dp, pf + eps * dpf) - J(p0 - eps * dp, pf - eps * dpf)) / (
             2 * eps
         )
-        an = float((gp * dp).sum() + (gpf_euclid * dpf).sum())
+        an = float((gp * dp).sum() + (gpf * dpf).sum())
         worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-12))
     return worst
 
@@ -333,11 +337,58 @@ def test_objective_gradient_matches_fd(metric):
     assert _gradient_fd_worst(problem, p0, pf) < 1e-4
 
 
+def test_gradient_at_two_steps_matches_fd():
+    # n_steps 2 stores only three samples; the adjoint's RK4 midpoint states
+    # need all three (an average of the two neighbours misses the CLI's
+    # gradcheck tolerance on this problem)
+    src = icosphere(1)
+    tgt = icosphere(2)
+    x = tgt.vertices
+    phase = 0.1 * (np.random.default_rng(1).random(3) - 0.5)
+    tgt = tgt.with_(
+        signals=np.sin(3 * x[:, 0] + phase[0]) * np.sin(3 * x[:, 1] + phase[1])
+        + 0.3 * np.cos(4 * x[:, 2] + phase[2])
+    )
+    cfg = MatchConfig(
+        gamma_V=50.0,
+        gamma_f=0.42,
+        gamma_W=20.0,
+        deformation_kernel=gaussian(0.4),
+        fidelity_kernels=VarifoldKernels(
+            kp=gaussian(0.3), kf=gaussian(0.7), kt=GrassmannKernelSpec("unoriented_squared")
+        ),
+        metric=H1,
+        n_steps=2,
+        scale_schedule=(ScaleStage(1.0, 1.0, 4),),
+        grad_tol=1e-10,
+    )
+    result = match(src, tgt, cfg)
+    problem = MatchProblem(
+        src, to_varifold(tgt), cfg.fidelity_kernels, cfg.gamma_W, cfg.dynamics()
+    )
+    worst = _gradient_fd_worst(problem, result.p0, result.pf, directions=3, seed=1)
+    assert worst < GRADCHECK_TOL
+
+
+@pytest.mark.parametrize("metric", [LUMPED, H1])
+def test_gradient_reuses_given_trajectory(metric):
+    src = triangle_strip(6, seed=31)
+    tgt = triangle_strip(6, seed=32)
+    cfg = _config(metric=metric, n_steps=4)
+    problem = MatchProblem(src, to_varifold(tgt), FID_KERNELS, 3.0, cfg)
+    state0 = _random_state(src, 33, amp=0.15)
+    traj = integrate_forward(state0, src, cfg)
+    given = euclidean_objective_gradient(state0.p, state0.pf, problem, trajectory=traj)
+    shot = euclidean_objective_gradient(state0.p, state0.pf, problem)
+    for a, b in zip(given, shot):
+        assert np.array_equal(a, b)
+
+
 def test_objective_gradient_zero_at_global_minimum():
     src = triangle_strip(6, seed=28)
     cfg = _config()
     problem = MatchProblem(src, to_varifold(src), FID_KERNELS, 3.0, cfg)
-    gp, gpf = objective_gradient(
+    gp, gpf = euclidean_objective_gradient(
         np.zeros_like(src.vertices), np.zeros(src.n_vertices), problem
     )
     assert np.abs(gp).max() < 1e-10
@@ -352,11 +403,11 @@ def test_objective_gradient_energy_only_when_fidelity_off():
     rng = np.random.default_rng(30)
     p0 = 0.2 * rng.standard_normal(src.vertices.shape)
     pf = 0.2 * rng.standard_normal(src.n_vertices)
-    gp, gpf = objective_gradient(p0, pf, problem)
+    gp, gpf = euclidean_objective_gradient(p0, pf, problem)
     expected_gp = kernel_conv(KERNEL, src.vertices, src.vertices, p0) / cfg.gamma_V
     np.testing.assert_allclose(gp, expected_gp, atol=1e-9)
     from metamorph import assemble_metric, solve_spd
 
     h0 = solve_spd(assemble_metric(src, cfg.metric), pf)
-    expected_gpf = lumped_vertex_weights(src) * h0 / cfg.gamma_f
+    expected_gpf = h0 / cfg.gamma_f
     np.testing.assert_allclose(gpf, expected_gpf, atol=1e-9)

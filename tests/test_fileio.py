@@ -208,6 +208,14 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
         config_from_dict({"schedule": [{"scale_p": 1.0, "scale_f": 1.0, "n": 3}]})
 
 
+def test_retired_fd_epsilon_key_is_rejected(tmp_path):
+    # the adjoint's difference step is a constant, not a setting
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"n_steps": 10, "fd_epsilon": None}))
+    with pytest.raises(UserError, match="unknown key"):
+        load_config(path)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from metamorph import (
-    DiscreteFshape,
-    apply_end_transform,
-    cell_geometry,
-    validate_fshape,
-)
-from metamorph.fshape import cell_volume_gradients
+from metamorph import DiscreteFshape, cell_geometry, validate_fshape
+from metamorph.fshape import apply_end_transform, cell_volume_gradients
 
 from conftest import triangle_strip
 

@@ -4,16 +4,20 @@ import pytest
 from metamorph import (
     GrassmannKernelSpec,
     RadialKernelSpec,
-    grassmann_eval,
-    grassmann_grad,
     kernel_conv,
     quad_form,
     quad_form_grad_x,
     radial_eval,
+)
+from metamorph.kernels import (
+    grassmann_eval,
+    grassmann_grad,
+    grassmann_grad_sum,
+    grassmann_matrix,
+    radial_deriv,
     scalar_kernel_eval,
     scalar_kernel_grad,
 )
-from metamorph.kernels import grassmann_grad_sum, grassmann_matrix, radial_deriv
 
 GAUSS = RadialKernelSpec("gaussian", ((1.0, 0.3),))
 CAUCHY = RadialKernelSpec("cauchy", ((1.0, 0.3),))

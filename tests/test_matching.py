@@ -11,13 +11,12 @@ from metamorph import (
     RadialKernelSpec,
     VarifoldKernels,
     fidelity,
-    lumped_vertex_weights,
     match,
     objective,
-    objective_gradient,
     shoot,
     to_varifold,
 )
+from metamorph.dynamics import euclidean_objective_gradient
 from metamorph.matching import ScaleStage
 from metamorph.meshes import icosphere
 
@@ -66,7 +65,7 @@ def test_objective_zero_momenta_is_fidelity():
     problem = _problem(src, tgt, cfg)
     p0 = np.zeros_like(src.vertices)
     pf = np.zeros(src.n_vertices)
-    J, energy, fid = objective(p0, pf, problem)
+    J, energy, fid, _ = objective(p0, pf, problem)
     assert energy == 0.0
     assert fid == pytest.approx(
         fidelity(src, to_varifold(tgt), cfg.fidelity_kernels), rel=1e-13
@@ -78,7 +77,7 @@ def test_objective_self_match_zero():
     src = triangle_strip(4, seed=2)
     cfg = _config()
     problem = _problem(src, src, cfg)
-    J, energy, fid = objective(
+    J, energy, fid, _ = objective(
         np.zeros_like(src.vertices), np.zeros(src.n_vertices), problem
     )
     norm = float(
@@ -96,7 +95,7 @@ def test_objective_monotone_in_gamma_w():
     values = []
     for gw in (1.0, 5.0, 25.0):
         cfg = _config(gamma_W=gw)
-        J, _, fid = objective(p0, pf, _problem(src, tgt, cfg))
+        J, _, fid, _ = objective(p0, pf, _problem(src, tgt, cfg))
         values.append(J)
         assert fid > 0
     assert values[0] < values[1] < values[2]
@@ -123,12 +122,11 @@ def test_match_h1_descent_reaches_lbfgs_reference():
 
     problem = _problem(src, tgt, cfg)
     P = src.n_vertices
-    weights = lumped_vertex_weights(src)
 
     def J_and_grad(z):
         p0, pf = z[: 3 * P].reshape(P, 3), z[3 * P :]
-        gp, gpf = objective_gradient(p0, pf, problem)
-        return objective(p0, pf, problem)[0], np.concatenate([gp.ravel(), gpf / weights])
+        gp, gpf = euclidean_objective_gradient(p0, pf, problem)
+        return objective(p0, pf, problem)[0], np.concatenate([gp.ravel(), gpf])
 
     reference = minimize(
         J_and_grad, np.zeros(4 * P), jac=True, method="L-BFGS-B", options={"maxiter": 50}
@@ -189,6 +187,27 @@ def test_match_history_strictly_decreasing_within_stage():
     stage_values.append(current)
     for seq in stage_values:
         assert all(b < a for a, b in zip(seq, seq[1:]))
+
+
+def test_match_shoots_each_momenta_once(monkeypatch):
+    import metamorph.dynamics
+    import metamorph.matching
+
+    shots = []
+    original = metamorph.dynamics.integrate_forward
+
+    def recording(state0, template, cfg):
+        shots.append(state0.p.tobytes() + state0.pf.tobytes())
+        return original(state0, template, cfg)
+
+    for module in (metamorph.dynamics, metamorph.matching):
+        monkeypatch.setattr(module, "integrate_forward", recording)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    cfg = _config(scale_schedule=(ScaleStage(2.0, 2.0, 4), ScaleStage(1.0, 1.0, 4)))
+    result = match(src, tgt, cfg)
+    assert result.objective_history[-1][0] == 8
+    assert len(shots) == len(set(shots))
 
 
 def test_match_deterministic_bitwise():
