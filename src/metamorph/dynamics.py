@@ -7,16 +7,17 @@ momentum and functional momentum. The reduced Hamiltonian is
                    + pf . D(x)^-1 pf / (2 gamma_f)
 
 with D(x) the signal-metric matrix. Geodesics follow the canonical equations;
-pf is a conserved quantity and is never integrated. Sensitivities are
-transported backward through the adjoint linearized system, whose right-hand
-side -dF(z)^T Z is evaluated matrix-free: since F = J grad H with J the
-canonical symplectic map, -dF^T Z equals the Hessian-vector product
-Hess(H) . (J Z), computed by a central finite difference of grad H along the
-single direction J Z (two flow-field evaluations per call). The difference
-step is the fixed relative step FD_STEP, the cube root of machine epsilon,
-which balances truncation against rounding for a central difference; it
-stays a constant until the exact discrete adjoint of the RK4 stages
-replaces the difference.
+pf is a conserved quantity and is never integrated. The gradient is the exact
+discrete adjoint of the forward RK4 scheme: the forward pass records the stage
+points of every step, and the backward pass applies the transposed RK4 step
+at those same points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
+stage needs one vector-Jacobian product dF(z)^T V of the flow field. Since
+F = J grad H with J the canonical symplectic map, dF^T V equals the
+Hessian-vector product Hess(H) . (-J V), computed by a central finite
+difference of grad H along that single direction (two flow-field evaluations
+per call). The difference step is the fixed relative step FD_STEP, the cube
+root of machine epsilon, which balances truncation against rounding for a
+central difference; closed-form vector-Jacobian products would remove it.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Geodesic samples at t_k = k / n_steps, k = 0..n_steps."""
+    """Geodesic samples at t_k = k / n_steps, k = 0..n_steps, with the stages.
+
+    ``stages[k]`` holds the (x, p) points at which the RK4 step from
+    ``states[k]`` to ``states[k + 1]`` evaluated the flow field after its
+    first stage (the first is ``states[k]`` itself). f does not enter the
+    flow field and pf is constant, so (x, p) fixes each stage.
+    """
 
     states: tuple[ShootingState, ...]
+    stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
 
     @property
     def n_steps(self) -> int:
@@ -136,22 +144,25 @@ def forward_rhs(
 def integrate_forward(
     state0: ShootingState, template: DiscreteFshape, cfg: DynamicsConfig
 ) -> Trajectory:
-    """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated."""
+    """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
+
+    The trajectory keeps every step's stage points for the adjoint.
+    """
     dt = 1.0 / cfg.n_steps
     pf = state0.pf
     x = state0.x.copy()
     f = state0.f.copy()
     p = state0.p.copy()
     states = [ShootingState(x=x, f=f, p=p, pf=pf)]
+    stages = []
     for k in range(cfg.n_steps):
         ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
-        ax2, af2, ap2 = _rhs_blocks(
-            template, cfg, x + 0.5 * dt * ax1, p + 0.5 * dt * ap1, pf
-        )
-        ax3, af3, ap3 = _rhs_blocks(
-            template, cfg, x + 0.5 * dt * ax2, p + 0.5 * dt * ap2, pf
-        )
-        ax4, af4, ap4 = _rhs_blocks(template, cfg, x + dt * ax3, p + dt * ap3, pf)
+        z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
+        ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
+        z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
+        ax3, af3, ap3 = _rhs_blocks(template, cfg, *z3, pf)
+        z4 = (x + dt * ax3, p + dt * ap3)
+        ax4, af4, ap4 = _rhs_blocks(template, cfg, *z4, pf)
         x = x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         f = f + (dt / 6.0) * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
         p = p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
@@ -160,76 +171,40 @@ def integrate_forward(
         ):
             raise RuntimeError(f"non-finite state after step {k + 1} of {cfg.n_steps}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
-    return Trajectory(states=tuple(states))
+        stages.append((z2, z3, z4))
+    return Trajectory(states=tuple(states), stages=tuple(stages))
 
 
-def _hamiltonian_gradient(
+def _vjp(
     template: DiscreteFshape,
     cfg: DynamicsConfig,
     x: np.ndarray,
-    f: np.ndarray,
     p: np.ndarray,
     pf: np.ndarray,
+    V: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ):
-    """grad H in (x, f, p, pf) order, read off the canonical equations."""
-    dx, df, dp = _rhs_blocks(template, cfg, x, p, pf)
-    return -dp, np.zeros_like(f), dx, df
+    """dF(z)^T V as Hess(H)(z) . (-J V), by central FD of grad H.
 
-
-def _adjoint_rhs(
-    template: DiscreteFshape,
-    cfg: DynamicsConfig,
-    z: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    Z: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-):
-    """-dF(z)^T Z as Hess(H)(z) . (J Z), by central FD of grad H."""
-    x, f, p, pf = z
-    Zx, Zf, Zp, Zpf = Z
-    # J Z in (x, f, p, pf) block order.
-    vx, vf, vp, vpf = Zp, Zpf, -Zx, -Zf
-    scale = max(
-        np.abs(vx).max(), np.abs(vf).max(), np.abs(vp).max(), np.abs(vpf).max()
-    )
+    grad H is (-dp, 0, dx, df) in (x, f, p, pf) order. H does not depend on
+    f, so the direction's f block is dropped and the result's is zero.
+    """
+    Vx, Vf, Vp, Vpf = V
+    # -J V in (x, p, pf) block order.
+    wx, wp, wpf = -Vp, Vx, Vf
+    scale = max(np.abs(wx).max(), np.abs(wp).max(), np.abs(wpf).max())
     if scale == 0.0 or not np.isfinite(scale):
         if not np.isfinite(scale):
             raise RuntimeError("non-finite adjoint state")
         zero = np.zeros_like
-        return zero(Zx), zero(Zf), zero(Zp), zero(Zpf)
-    state_mag = max(np.abs(x).max(), np.abs(f).max(), np.abs(p).max(), np.abs(pf).max())
+        return zero(Vx), zero(Vf), zero(Vp), zero(Vpf)
+    state_mag = max(np.abs(x).max(), np.abs(p).max(), np.abs(pf).max())
     eps = FD_STEP * (1.0 + state_mag) / scale
-    gp = _hamiltonian_gradient(
-        template, cfg, x + eps * vx, f + eps * vf, p + eps * vp, pf + eps * vpf
-    )
-    gm = _hamiltonian_gradient(
-        template, cfg, x - eps * vx, f - eps * vf, p - eps * vp, pf - eps * vpf
-    )
+    xp, pp, pfp = x + eps * wx, p + eps * wp, pf + eps * wpf
+    xm, pm, pfm = x - eps * wx, p - eps * wp, pf - eps * wpf
+    dxp, dfp, dpp = _rhs_blocks(template, cfg, xp, pp, pfp)
+    dxm, dfm, dpm = _rhs_blocks(template, cfg, xm, pm, pfm)
     inv = 1.0 / (2.0 * eps)
-    return tuple((a - b) * inv for a, b in zip(gp, gm))
-
-
-def _midpoint_state(nodes, k: int):
-    """State at t_{k-1/2} from stored samples.
-
-    Cubic interpolation through four neighboring nodes (one-sided stencils at
-    the ends), 4th-order accurate; with only three samples (n_steps 2), the
-    quadratic through all three. The interpolated stage states still differ
-    from the forward pass's own RK4 stages, so at large momenta the gradient
-    keeps an error that only the exact discrete adjoint of the stages removes.
-    """
-    N = len(nodes) - 1
-    if N < 3:
-        w = (0.375, 0.75, -0.125) if k == 1 else (-0.125, 0.75, 0.375)
-        return tuple(w[0] * a + w[1] * b + w[2] * c for a, b, c in zip(*nodes))
-    if k == 1:
-        idx, w = (0, 1, 2, 3), (0.3125, 0.9375, -0.3125, 0.0625)
-    elif k == N:
-        idx, w = (N - 3, N - 2, N - 1, N), (0.0625, -0.3125, 0.9375, 0.3125)
-    else:
-        idx, w = (k - 2, k - 1, k, k + 1), (-0.0625, 0.5625, 0.5625, -0.0625)
-    return tuple(
-        w[0] * a + w[1] * b + w[2] * c + w[3] * d
-        for a, b, c, d in zip(nodes[idx[0]], nodes[idx[1]], nodes[idx[2]], nodes[idx[3]])
-    )
+    return (dpm - dpp) * inv, np.zeros_like(Vf), (dxp - dxm) * inv, (dfp - dfm) * inv
 
 
 def integrate_adjoint_backward(
@@ -240,33 +215,29 @@ def integrate_adjoint_backward(
 ) -> AdjointState:
     """Transport adjoint variables from t=1 back to t=0 along the trajectory.
 
-    RK4 with the same step as the forward pass; interior stage states are
-    interpolated between the stored samples to matching (4th) order.
+    Each step applies the transpose of the forward RK4 step, linearized at
+    the stage points the forward pass recorded, so the result is the exact
+    gradient of the discrete objective (up to the FD of ``_vjp``).
     """
-    states = traj.states
-    N = len(states) - 1
-    dt = 1.0 / N
-    nodes = [(s.x, s.f, s.p, s.pf) for s in states]
-    Z = (end.X.copy(), end.F.copy(), end.Pvar.copy(), end.Pf.copy())
+    dt = 1.0 / traj.n_steps
+    pf = traj.initial.pf
+    lam = (end.X.copy(), end.F.copy(), end.Pvar.copy(), end.Pf.copy())
 
-    def axpy(Zc, coef, dZ):
-        return tuple(a + coef * b for a, b in zip(Zc, dZ))
+    def vjp_at(z, *terms):
+        V = tuple(sum(c * b[i] for c, b in terms) for i in range(4))
+        return _vjp(template, cfg, *z, pf, V)
 
-    for k in range(N, 0, -1):
-        z1 = nodes[k]
-        z0 = nodes[k - 1]
-        zmid = _midpoint_state(nodes, k)
-        k1 = _adjoint_rhs(template, cfg, z1, Z)
-        k2 = _adjoint_rhs(template, cfg, zmid, axpy(Z, -0.5 * dt, k1))
-        k3 = _adjoint_rhs(template, cfg, zmid, axpy(Z, -0.5 * dt, k2))
-        k4 = _adjoint_rhs(template, cfg, z0, axpy(Z, -dt, k3))
-        Z = tuple(
-            a - (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(Z, k1, k2, k3, k4)
-        )
-        if not all(np.all(np.isfinite(b)) for b in Z):
-            raise RuntimeError(f"non-finite adjoint state at step {k}")
-    return AdjointState(X=Z[0], F=Z[1], Pvar=Z[2], Pf=Z[3])
+    for k in range(traj.n_steps - 1, -1, -1):
+        s = traj.states[k]
+        z2, z3, z4 = traj.stages[k]
+        g4 = vjp_at(z4, (dt / 6.0, lam))
+        g3 = vjp_at(z3, (dt / 3.0, lam), (dt, g4))
+        g2 = vjp_at(z2, (dt / 3.0, lam), (dt / 2.0, g3))
+        g1 = vjp_at((s.x, s.p), (dt / 6.0, lam), (dt / 2.0, g2))
+        lam = tuple(a + sum(gs) for a, *gs in zip(lam, g1, g2, g3, g4))
+        if not all(np.all(np.isfinite(b)) for b in lam):
+            raise RuntimeError(f"non-finite adjoint state at step {k + 1}")
+    return AdjointState(X=lam[0], F=lam[1], Pvar=lam[2], Pf=lam[3])
 
 
 def euclidean_objective_gradient(

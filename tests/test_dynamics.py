@@ -325,22 +325,53 @@ def _gradient_fd_worst(problem, p0, pf, directions=10, eps=1e-5, seed=0):
     return worst
 
 
-@pytest.mark.parametrize("metric", [LUMPED, H1])
-def test_objective_gradient_matches_fd(metric):
+@pytest.mark.parametrize(
+    "metric, n_steps, amp, tol",
+    [
+        pytest.param(LUMPED, 10, 0.15, 1e-4, id="metric0"),
+        pytest.param(H1, 10, 0.15, 1e-4, id="metric1"),
+        # strong momenta over few steps: the stage points of each RK4 step
+        # lie far from the stored samples, so only the transpose of the
+        # forward's own stages gives the discrete objective's gradient
+        pytest.param(H1, 4, 1.0, 1e-6, id="h1-strong"),
+        pytest.param(LUMPED, 2, 1.0, 1e-6, id="lumped-strong"),
+    ],
+)
+def test_objective_gradient_matches_fd(metric, n_steps, amp, tol):
     src = triangle_strip(8, seed=25)
     tgt = triangle_strip(8, seed=26)
-    cfg = DynamicsConfig(1.0, 2.0, KERNEL, metric, n_steps=10)
+    cfg = DynamicsConfig(1.0, 2.0, KERNEL, metric, n_steps=n_steps)
     problem = MatchProblem(src, to_varifold(tgt), FID_KERNELS, 3.0, cfg)
     rng = np.random.default_rng(27)
-    p0 = 0.15 * rng.standard_normal(src.vertices.shape)
-    pf = 0.15 * rng.standard_normal(src.n_vertices)
-    assert _gradient_fd_worst(problem, p0, pf) < 1e-4
+    p0 = amp * rng.standard_normal(src.vertices.shape)
+    pf = amp * rng.standard_normal(src.n_vertices)
+    assert _gradient_fd_worst(problem, p0, pf) < tol
+
+
+def test_trajectory_records_rk4_stages():
+    # the adjoint linearizes at these points: recombined with the RK4
+    # weights, the flow field there must give the next sample exactly
+    fs = triangle_strip(6, seed=34)
+    s0 = _random_state(fs, 35, amp=0.5)
+    cfg = _config(metric=H1, n_steps=3)
+    traj = integrate_forward(s0, fs, cfg)
+    assert len(traj.stages) == cfg.n_steps
+    dt = 1.0 / cfg.n_steps
+    for k, s in enumerate(traj.states[:-1]):
+        points = [s] + [ShootingState(x, s.f, p, s.pf) for x, p in traj.stages[k]]
+        (ax1, _, ap1, _), (ax2, _, ap2, _), (ax3, _, ap3, _), (ax4, _, ap4, _) = (
+            forward_rhs(z, fs, cfg) for z in points
+        )
+        x = s.x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+        p = s.p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
+        assert np.array_equal(x, traj.states[k + 1].x)
+        assert np.array_equal(p, traj.states[k + 1].p)
 
 
 def test_gradient_at_two_steps_matches_fd():
-    # n_steps 2 stores only three samples; the adjoint's RK4 midpoint states
-    # need all three (an average of the two neighbours misses the CLI's
-    # gradcheck tolerance on this problem)
+    # n_steps 2, the fewest steps allowed: the gradient of a real H1 match's
+    # momenta must still pass the CLI's gradcheck tolerance (averaging the
+    # two samples in place of the RK4 stage points missed it on this problem)
     src = icosphere(1)
     tgt = icosphere(2)
     x = tgt.vertices
