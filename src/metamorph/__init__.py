@@ -10,15 +10,9 @@ from .dynamics import (
 )
 from .fem import (
     FunctionalMetric,
-    assemble_h1,
-    assemble_mass_lumped,
-    assemble_mass_p1,
     assemble_metric,
-    assemble_stiffness,
     lumped_vertex_weights,
     metric_form_grad_x,
-    quadratic_form,
-    solve_spd,
 )
 from .fshape import (
     AdjointState,
@@ -74,11 +68,7 @@ __all__ = [
     "SphereState",
     "Trajectory",
     "VarifoldKernels",
-    "assemble_h1",
-    "assemble_mass_lumped",
-    "assemble_mass_p1",
     "assemble_metric",
-    "assemble_stiffness",
     "cell_geometry",
     "chi",
     "chi_prime",
@@ -95,11 +85,9 @@ __all__ = [
     "objective",
     "quad_form",
     "quad_form_grad_x",
-    "quadratic_form",
     "radial_eval",
     "reduced_hamiltonian",
     "shoot",
-    "solve_spd",
     "sphere_vertex_momenta",
     "to_varifold",
     "validate_fshape",

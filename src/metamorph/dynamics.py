@@ -122,7 +122,11 @@ def _rhs_blocks(
     p: np.ndarray,
     pf: np.ndarray,
 ):
-    """Time derivatives (dx, df, dp); dpf is identically zero."""
+    """Time derivatives (dx, df, dp); dpf is identically zero.
+
+    One fshape per state, so D(x) and its form gradient share one
+    ``cell_geometry`` record.
+    """
     fs_x = template.with_(vertices=x)
     D = assemble_metric(fs_x, cfg.metric)
     h = solve_spd(D, pf)
@@ -131,14 +135,6 @@ def _rhs_blocks(
     dp = -quad_form_grad_x(cfg.kernel, x, p) / (2.0 * cfg.gamma_V)
     dp += metric_form_grad_x(fs_x, cfg.metric, h) / (2.0 * cfg.gamma_f)
     return dx, df, dp
-
-
-def forward_rhs(
-    state: ShootingState, template: DiscreteFshape, cfg: DynamicsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Full right-hand side (dx, df, dp, dpf) of the geodesic system."""
-    dx, df, dp = _rhs_blocks(template, cfg, state.x, state.p, state.pf)
-    return dx, df, dp, np.zeros_like(state.pf)
 
 
 def integrate_forward(

@@ -3,7 +3,10 @@
 Assembles the sparse symmetric positive definite matrices behind the L2 and
 H1 signal norms (mass lumping, P1-exact mass, P1 stiffness), solves the
 associated linear systems with Jacobi-preconditioned conjugate gradients, and
-differentiates the quadratic form w.r.t. vertex positions.
+differentiates the quadratic form w.r.t. vertex positions. Every cell
+quantity (volumes, edges, volume gradients) is read from the fshape's one
+memoised ``cell_geometry`` record, so assembling D(x) and differentiating
+its form on the same fshape measure the cells once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fshape import DiscreteFshape, cell_geometry, cell_volume_gradients
+from .fshape import CellGeometry, DiscreteFshape, cell_geometry
 
 SOLVER_RTOL = 1e-10
 
@@ -79,11 +82,10 @@ def assemble_mass_p1(fs: DiscreteFshape) -> sparse.csr_matrix:
     return _scatter_local(fs, local)
 
 
-def _edge_gram(fs: DiscreteFshape):
+def _edge_gram(geom: CellGeometry):
     """Edge vectors and in-plane Gram data for triangle cells."""
-    pts = fs.vertices[fs.cells]
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
+    e1 = geom.edges[:, 0]
+    e2 = geom.edges[:, 1]
     g11 = np.einsum("ij,ij->i", e1, e1)
     g12 = np.einsum("ij,ij->i", e1, e2)
     g22 = np.einsum("ij,ij->i", e2, e2)
@@ -102,7 +104,7 @@ def assemble_stiffness(fs: DiscreteFshape) -> sparse.csr_matrix:
         inv = 1.0 / geom.volumes
         local = inv[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])[None]
         return _scatter_local(fs, local)
-    _, _, g11, g12, g22, det = _edge_gram(fs)
+    _, _, g11, g12, g22, det = _edge_gram(geom)
     ginv = np.empty((fs.n_cells, 2, 2))
     ginv[:, 0, 0] = g22
     ginv[:, 1, 1] = g11
@@ -212,7 +214,7 @@ def metric_form_grad_x(
     if h.shape != (fs.n_vertices,):
         raise ValueError(f"h shape {h.shape} != ({fs.n_vertices},)")
     geom = cell_geometry(fs)
-    vol_grads = cell_volume_gradients(fs)
+    vol_grads = geom.volume_grads
     hc = h[fs.cells]
     if metric.scheme == "lumped" and metric.order == 0:
         cell_form = (hc**2).sum(axis=1) / (fs.dim_d + 1)
@@ -230,7 +232,7 @@ def metric_form_grad_x(
         contrib = -sq[:, None, None] * vol_grads
         np.add.at(grad, fs.cells, contrib)
         return grad
-    e1, e2, g11, g12, g22, det = _edge_gram(fs)
+    e1, e2, g11, g12, g22, det = _edge_gram(geom)
     d1 = hc[:, 1] - hc[:, 0]
     d2 = hc[:, 2] - hc[:, 0]
     b1 = (g22 * d1 - g12 * d2) / det

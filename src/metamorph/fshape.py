@@ -4,6 +4,12 @@ A functional shape (fshape) is a polyhedral mesh of dimension d (1 = polyline,
 2 = triangle surface) embedded in R^n (n = 2 or 3), with one scalar signal
 value attached to each vertex. All types here are immutable value objects and
 safe to share across threads.
+
+``cell_geometry`` is the one place where per-cell geometry (edges, volumes,
+frames, volume gradients) is computed. Since an fshape never changes, its
+record is memoised on the instance: every later call on the same fshape
+returns the same object. Two threads that race on a fresh fshape at worst
+both compute the same record, and one of the two is kept.
 """
 
 from __future__ import annotations
@@ -153,16 +159,31 @@ class AdjointState:
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Per-cell barycenters, d-volumes, unit frames and mean signals.
+    """Per-cell geometry of one mesh state.
 
-    For d=2 the frame is the oriented unit normal from the stored vertex
-    order; for d=1 it is the unit tangent along the segment.
+    centers (T, n)
+        Barycenters.
+    volumes (T,)
+        d-volumes (lengths for d=1, areas for d=2).
+    frames (T, n)
+        Unit frames: for d=2 the oriented unit normal from the stored vertex
+        order; for d=1 the unit tangent along the segment. The raw frame
+        they normalize (the edge, or the edge cross product) has norm
+        d * volume.
+    cell_signals (T,)
+        Mean vertex signal of each cell.
+    edges (T, d, n)
+        Edge vectors from each cell's first vertex to its other vertices.
+    volume_grads (T, d+1, n)
+        Entry [t, j] is d(volume_t)/d(vertex j of t).
     """
 
     centers: np.ndarray
     volumes: np.ndarray
     frames: np.ndarray
     cell_signals: np.ndarray
+    edges: np.ndarray
+    volume_grads: np.ndarray
 
 
 def bounding_box_diagonal(vertices: np.ndarray) -> float:
@@ -170,19 +191,21 @@ def bounding_box_diagonal(vertices: np.ndarray) -> float:
     return float(np.linalg.norm(v.max(axis=0) - v.min(axis=0)))
 
 
-def _raw_cell_volumes(fs: DiscreteFshape) -> np.ndarray:
+def _measure(fs: DiscreteFshape):
+    """Cell points, edges, raw frames (norm d * volume), d-volumes and the
+    indices of degenerate cells (d-volume at or below the cutoff)."""
     pts = fs.vertices[fs.cells]
-    if fs.dim_d == 1:
-        return np.linalg.norm(pts[:, 1] - pts[:, 0], axis=1)
-    cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    edges = pts[:, 1:] - pts[:, :1]
+    raw = edges[:, 0] if fs.dim_d == 1 else np.cross(edges[:, 0], edges[:, 1])
+    volumes = np.linalg.norm(raw, axis=1) / fs.dim_d
+    diag = bounding_box_diagonal(fs.vertices)
+    bad = np.flatnonzero(volumes <= DEGENERATE_VOLUME_RTOL * diag**fs.dim_d)
+    return pts, edges, raw, volumes, bad
 
 
 def degenerate_cells(fs: DiscreteFshape) -> np.ndarray:
     """Indices of cells whose d-volume falls below the degeneracy cutoff."""
-    volumes = _raw_cell_volumes(fs)
-    diag = bounding_box_diagonal(fs.vertices)
-    return np.flatnonzero(volumes <= DEGENERATE_VOLUME_RTOL * diag**fs.dim_d)
+    return _measure(fs)[-1]
 
 
 def validate_fshape(fs: DiscreteFshape) -> list[str]:
@@ -216,74 +239,41 @@ def validate_fshape(fs: DiscreteFshape) -> list[str]:
 
 
 def cell_geometry(fs: DiscreteFshape) -> CellGeometry:
-    """Compute barycenters, d-volumes, unit frames and mean cell signals.
+    """The cell geometry of fs, computed on first use and memoised on fs.
 
     Raises
     ------
     ValueError
         If any cell is degenerate (names the first offending cell).
     """
-    pts = fs.vertices[fs.cells]
-    centers = pts.mean(axis=1)
-    cell_signals = fs.signals[fs.cells].mean(axis=1)
-    if fs.dim_d == 1:
-        edge = pts[:, 1] - pts[:, 0]
-        volumes = np.linalg.norm(edge, axis=1)
-        raw = edge
-    else:
-        cross = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-        norms = np.linalg.norm(cross, axis=1)
-        volumes = 0.5 * norms
-        raw = cross
-    diag = bounding_box_diagonal(fs.vertices)
-    bad = np.flatnonzero(volumes <= DEGENERATE_VOLUME_RTOL * diag**fs.dim_d)
+    geom = fs.__dict__.get("_geometry")
+    if geom is None:
+        geom = _compute_geometry(fs)
+        fs.__dict__["_geometry"] = geom
+    return geom
+
+
+def _compute_geometry(fs: DiscreteFshape) -> CellGeometry:
+    pts, edges, raw, volumes, bad = _measure(fs)
     if bad.size:
         raise ValueError(f"cell {bad[0]} is degenerate (d-volume {volumes[bad[0]]:g})")
-    frames = raw / np.linalg.norm(raw, axis=1)[:, None]
+    frames = raw / (fs.dim_d * volumes)[:, None]
+    volume_grads = np.zeros((fs.n_cells, fs.dim_d + 1, fs.dim_n))
+    if fs.dim_d == 1:
+        volume_grads[:, 1] = frames
+        volume_grads[:, 0] = -frames
+    else:
+        # d(area) = 0.5 * n_hat . (de1 x e2 + e1 x de2)
+        g1 = 0.5 * np.cross(edges[:, 1], frames)
+        g2 = 0.5 * np.cross(frames, edges[:, 0])
+        volume_grads[:, 1] = g1
+        volume_grads[:, 2] = g2
+        volume_grads[:, 0] = -(g1 + g2)
     return CellGeometry(
-        centers=_frozen(centers),
+        centers=_frozen(pts.mean(axis=1)),
         volumes=_frozen(volumes),
         frames=_frozen(frames),
-        cell_signals=_frozen(cell_signals),
+        cell_signals=_frozen(fs.signals[fs.cells].mean(axis=1)),
+        edges=_frozen(edges),
+        volume_grads=_frozen(volume_grads),
     )
-
-
-def cell_volume_gradients(fs: DiscreteFshape) -> np.ndarray:
-    """Gradient of each cell's d-volume w.r.t. its own vertex positions.
-
-    Returns a (T, d+1, n) array: entry [t, j] is d(volume_t)/d(vertex j of t).
-    """
-    pts = fs.vertices[fs.cells]
-    T = fs.n_cells
-    n = fs.dim_n
-    grads = np.zeros((T, fs.dim_d + 1, n))
-    if fs.dim_d == 1:
-        edge = pts[:, 1] - pts[:, 0]
-        unit = edge / np.linalg.norm(edge, axis=1)[:, None]
-        grads[:, 1] = unit
-        grads[:, 0] = -unit
-        return grads
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    cross = np.cross(e1, e2)
-    unit = cross / np.linalg.norm(cross, axis=1)[:, None]
-    # d(area) = 0.5 * n_hat . (de1 x e2 + e1 x de2)
-    g1 = 0.5 * np.cross(e2, unit)
-    g2 = 0.5 * np.cross(unit, e1)
-    grads[:, 1] = g1
-    grads[:, 2] = g2
-    grads[:, 0] = -(g1 + g2)
-    return grads
-
-
-def apply_end_transform(
-    fs: DiscreteFshape, x1: np.ndarray, zeta: np.ndarray
-) -> DiscreteFshape:
-    """Move vertices to x1 and shift signals by zeta, keeping connectivity."""
-    x1 = np.asarray(x1, dtype=float)
-    zeta = np.asarray(zeta, dtype=float)
-    if x1.shape != fs.vertices.shape:
-        raise ValueError(f"x1 shape {x1.shape} != vertices shape {fs.vertices.shape}")
-    if zeta.shape != fs.signals.shape:
-        raise ValueError(f"zeta shape {zeta.shape} != signals shape {fs.signals.shape}")
-    return fs.with_(vertices=x1, signals=fs.signals + zeta)

@@ -4,7 +4,10 @@ A mesh is summarized by one weighted Dirac per cell carrying (barycenter,
 unit frame, d-volume, mean signal). The fidelity is the squared kernel-metric
 distance between the two Dirac sums, with positive kernels on positions,
 signal values and frames; gradients are chained back to vertex positions and
-vertex signals.
+vertex signals through the per-cell edges, frames and volume gradients of the
+mesh's memoised ``cell_geometry`` record. The target's self-term <nu, nu>
+does not depend on the moving mesh, so each target varifold computes it once
+per kernel triple and ``fidelity`` reuses it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fshape import DiscreteFshape, cell_geometry, cell_volume_gradients, _frozen
+from .fshape import DiscreteFshape, cell_geometry, _frozen
 from .kernels import (
     GrassmannKernelSpec,
     RadialKernelSpec,
@@ -41,7 +44,11 @@ class VarifoldKernels:
 
 @dataclass(frozen=True)
 class DiscreteVarifold:
-    """Weighted Dirac sum over position x signal x frame space."""
+    """Weighted Dirac sum over position x signal x frame space.
+
+    ``self_inner(K)`` is memoised per kernel triple on the instance; a race
+    between threads only computes the same value twice.
+    """
 
     centers: np.ndarray
     frames: np.ndarray
@@ -63,6 +70,13 @@ class DiscreteVarifold:
         object.__setattr__(self, "frames", u)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "cell_signals", s)
+
+    def self_inner(self, K: VarifoldKernels) -> float:
+        """varifold_inner(self, self, K), computed once per kernel triple."""
+        cache = self.__dict__.setdefault("_self_inner", {})
+        if K not in cache:
+            cache[K] = varifold_inner(self, self, K)
+        return cache[K]
 
 
 def to_varifold(fs: DiscreteFshape) -> DiscreteVarifold:
@@ -119,7 +133,7 @@ def fidelity(
     value = (
         varifold_inner(mu, mu, K)
         - 2.0 * varifold_inner(mu, target, K)
-        + varifold_inner(target, target, K)
+        + target.self_inner(K)
     )
     return max(value, 0.0)
 
@@ -151,26 +165,19 @@ def grad_fidelity(
     np.add.at(grad_f, cells, np.repeat(ds[:, None] / (d + 1), d + 1, axis=1))
 
     # Weights follow the cell-volume gradients.
-    vol_grads = cell_volume_gradients(fs1)
-    np.add.at(grad_x, cells, dw[:, None, None] * vol_grads)
+    geom = cell_geometry(fs1)
+    np.add.at(grad_x, cells, dw[:, None, None] * geom.volume_grads)
 
-    # Frames: chain through the normalization of the raw frame vector.
-    pts = fs1.vertices[cells]
+    # Frames: chain through the normalization of the raw frame vector (the
+    # edge for d=1, the edge cross product for d=2), whose norm is d * volume.
+    unit = geom.frames
+    norm = d * geom.volumes
+    a = (du - np.sum(du * unit, axis=1)[:, None] * unit) / norm[:, None]
     if d == 1:
-        edge = pts[:, 1] - pts[:, 0]
-        length = np.linalg.norm(edge, axis=1)
-        unit = edge / length[:, None]
-        a = (du - np.sum(du * unit, axis=1)[:, None] * unit) / length[:, None]
         frame_contrib = np.stack([-a, a], axis=1)
     else:
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        cross = np.cross(e1, e2)
-        norm = np.linalg.norm(cross, axis=1)
-        unit = cross / norm[:, None]
-        a = (du - np.sum(du * unit, axis=1)[:, None] * unit) / norm[:, None]
-        c1 = np.cross(e2, a)
-        c2 = np.cross(a, e1)
+        c1 = np.cross(geom.edges[:, 1], a)
+        c2 = np.cross(a, geom.edges[:, 0])
         frame_contrib = np.stack([-(c1 + c2), c1, c2], axis=1)
     np.add.at(grad_x, cells, frame_contrib)
     return grad_x, grad_f

@@ -18,9 +18,6 @@ from metamorph import (
     ShootingState,
     SphereState,
     VarifoldKernels,
-    assemble_h1,
-    assemble_mass_lumped,
-    assemble_mass_p1,
     assemble_metric,
     fidelity,
     grad_fidelity,
@@ -29,12 +26,17 @@ from metamorph import (
     lumped_vertex_weights,
     match,
     objective,
-    quadratic_form,
     reduced_hamiltonian,
     to_varifold,
 )
 from metamorph.dynamics import euclidean_objective_gradient
-from metamorph.fem import assemble_stiffness
+from metamorph.fem import (
+    assemble_h1,
+    assemble_mass_lumped,
+    assemble_mass_p1,
+    assemble_stiffness,
+    quadratic_form,
+)
 from metamorph.matching import ScaleStage
 from metamorph.meshes import bump_signal, grid_square, icosphere
 from metamorph.sphere import mean_radius, sphere_vertex_momenta

@@ -21,8 +21,9 @@ from metamorph import (
     reduced_hamiltonian,
     to_varifold,
 )
+from metamorph import fshape
 from metamorph.cli import GRADCHECK_TOL
-from metamorph.dynamics import euclidean_objective_gradient, forward_rhs
+from metamorph.dynamics import _rhs_blocks, euclidean_objective_gradient
 from metamorph.kernels import gaussian
 from metamorph.matching import ScaleStage
 from metamorph.meshes import icosphere
@@ -93,8 +94,9 @@ def test_hamiltonian_gamma_f_homogeneity():
 
 def test_forward_rhs_zero_momenta():
     fs = triangle_strip(4, seed=5)
-    dx, df, dp, dpf = forward_rhs(_rest_state(fs), fs, _config())
-    for block in (dx, df, dp, dpf):
+    state = _rest_state(fs)
+    dx, df, dp = _rhs_blocks(fs, _config(), state.x, state.p, state.pf)
+    for block in (dx, df, dp):
         np.testing.assert_array_equal(block, 0.0)
 
 
@@ -102,9 +104,23 @@ def test_forward_rhs_velocity_block():
     fs = triangle_strip(4, seed=6)
     state = _random_state(fs, 7)
     cfg = _config(gamma_V=1.3)
-    dx, _, _, _ = forward_rhs(state, fs, cfg)
+    dx, _, _ = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
     expected = kernel_conv(KERNEL, state.x, state.x, state.p) / 1.3
     np.testing.assert_allclose(dx, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("metric", [LUMPED, FunctionalMetric(0, "p1"), H1])
+def test_rhs_evaluation_measures_cells_once(metric, monkeypatch):
+    # assembling D(x) and differentiating its form share one geometry record
+    measured = []
+    compute = fshape._compute_geometry
+    monkeypatch.setattr(
+        fshape, "_compute_geometry", lambda fs: measured.append(fs) or compute(fs)
+    )
+    fs = triangle_strip(4, seed=10)
+    state = _random_state(fs, 11)
+    _rhs_blocks(fs, _config(metric=metric), state.x, state.p, state.pf)
+    assert len(measured) == 1
 
 
 @pytest.mark.parametrize("metric", [LUMPED, FunctionalMetric(0, "p1"), H1])
@@ -113,7 +129,7 @@ def test_forward_rhs_is_minus_hamiltonian_gradient(metric):
     fs = triangle_strip(4, seed=8)
     state = _random_state(fs, 9)
     cfg = _config(metric=metric)
-    _, _, dp, _ = forward_rhs(state, fs, cfg)
+    _, _, dp = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
     eps = 1e-6
     fd = np.zeros_like(dp)
     for i in range(fs.n_vertices):
@@ -358,9 +374,9 @@ def test_trajectory_records_rk4_stages():
     assert len(traj.stages) == cfg.n_steps
     dt = 1.0 / cfg.n_steps
     for k, s in enumerate(traj.states[:-1]):
-        points = [s] + [ShootingState(x, s.f, p, s.pf) for x, p in traj.stages[k]]
-        (ax1, _, ap1, _), (ax2, _, ap2, _), (ax3, _, ap3, _), (ax4, _, ap4, _) = (
-            forward_rhs(z, fs, cfg) for z in points
+        points = [(s.x, s.p)] + list(traj.stages[k])
+        (ax1, _, ap1), (ax2, _, ap2), (ax3, _, ap3), (ax4, _, ap4) = (
+            _rhs_blocks(fs, cfg, x, p, s.pf) for x, p in points
         )
         x = s.x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         p = s.p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
@@ -437,7 +453,8 @@ def test_objective_gradient_energy_only_when_fidelity_off():
     gp, gpf = euclidean_objective_gradient(p0, pf, problem)
     expected_gp = kernel_conv(KERNEL, src.vertices, src.vertices, p0) / cfg.gamma_V
     np.testing.assert_allclose(gp, expected_gp, atol=1e-9)
-    from metamorph import assemble_metric, solve_spd
+    from metamorph import assemble_metric
+    from metamorph.fem import solve_spd
 
     h0 = solve_spd(assemble_metric(src, cfg.metric), pf)
     expected_gpf = h0 / cfg.gamma_f

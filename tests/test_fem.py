@@ -5,14 +5,16 @@ from scipy import sparse
 from metamorph import (
     DiscreteFshape,
     FunctionalMetric,
-    assemble_h1,
-    assemble_mass_lumped,
-    assemble_mass_p1,
     assemble_metric,
-    assemble_stiffness,
     cell_geometry,
     lumped_vertex_weights,
     metric_form_grad_x,
+)
+from metamorph.fem import (
+    assemble_h1,
+    assemble_mass_lumped,
+    assemble_mass_p1,
+    assemble_stiffness,
     quadratic_form,
     solve_spd,
 )

@@ -1,8 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from metamorph import DiscreteFshape, cell_geometry, validate_fshape
-from metamorph.fshape import apply_end_transform, cell_volume_gradients
 
 from conftest import triangle_strip
 
@@ -65,6 +67,41 @@ def test_cell_geometry_triangle(unit_triangle):
     assert geom.volumes[0] == pytest.approx(0.5, abs=1e-15)
     np.testing.assert_allclose(geom.frames[0], [0.0, 0.0, 1.0], atol=1e-15)
     np.testing.assert_allclose(geom.centers[0], [1 / 3, 1 / 3, 0.0], atol=1e-15)
+    np.testing.assert_array_equal(geom.edges[0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def test_cell_geometry_is_memoised():
+    fs = triangle_strip(4, seed=4)
+    geom = cell_geometry(fs)
+    assert cell_geometry(fs) is geom
+    # a new fshape with the same vertices measures its own cells
+    assert cell_geometry(fs.with_(vertices=fs.vertices)) is not geom
+
+
+def test_cell_geometry_memo_under_threads():
+    # racing threads may each measure the cells, but all see the same values
+    fs = triangle_strip(200, seed=7)
+    expected = cell_geometry(fs.with_(vertices=fs.vertices))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: results.append(cell_geometry(fs)))
+            for _ in range(8)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for geom in results:
+        for name in ("centers", "volumes", "frames", "edges", "volume_grads"):
+            assert np.array_equal(getattr(geom, name), getattr(expected, name))
+    assert any(cell_geometry(fs) is geom for geom in results)
 
 
 def test_cell_geometry_segment(segment):
@@ -117,49 +154,35 @@ def test_lumped_signal_volume_consistency():
     assert direct == pytest.approx(by_hand, rel=1e-14)
 
 
+def _polyline(seed):
+    """Jittered open curve of 5 segments in R^3."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 2.0, 6)
+    pts = np.column_stack([t, 0.3 * np.sin(3 * t), 0.2 * t**2])
+    return DiscreteFshape(
+        vertices=pts + 0.05 * rng.standard_normal(pts.shape),
+        signals=rng.standard_normal(6),
+        cells=[[i, i + 1] for i in range(5)],
+    )
+
+
 def test_volume_gradients_match_fd():
-    fs = triangle_strip(4, seed=5)
-    grads = cell_volume_gradients(fs)
     eps = 1e-6
-    for t in range(fs.n_cells):
-        for j in range(3):
-            for axis in range(3):
-                vp = fs.vertices.copy()
-                vm = fs.vertices.copy()
-                vp[fs.cells[t, j], axis] += eps
-                vm[fs.cells[t, j], axis] -= eps
-                fd = (
-                    cell_geometry(fs.with_(vertices=vp)).volumes[t]
-                    - cell_geometry(fs.with_(vertices=vm)).volumes[t]
-                ) / (2 * eps)
-                assert grads[t, j, axis] == pytest.approx(fd, abs=2e-9)
-
-
-def test_apply_end_transform_identity(unit_triangle):
-    out = apply_end_transform(
-        unit_triangle, unit_triangle.vertices, np.zeros(3)
-    )
-    np.testing.assert_array_equal(out.vertices, unit_triangle.vertices)
-    np.testing.assert_array_equal(out.signals, unit_triangle.signals)
-    np.testing.assert_array_equal(out.cells, unit_triangle.cells)
-
-
-def test_apply_end_transform_constant_shift(unit_triangle):
-    out = apply_end_transform(unit_triangle, unit_triangle.vertices, np.full(3, 2.5))
-    np.testing.assert_allclose(out.signals, unit_triangle.signals + 2.5)
-
-
-def test_apply_end_transform_translation_preserves_volumes():
-    fs = triangle_strip(4, seed=2)
-    out = apply_end_transform(fs, fs.vertices + np.array([1.0, -2.0, 0.5]), np.zeros(6))
-    np.testing.assert_allclose(
-        cell_geometry(out).volumes, cell_geometry(fs).volumes, rtol=1e-13
-    )
-
-
-def test_apply_end_transform_shape_mismatch(unit_triangle):
-    with pytest.raises(ValueError):
-        apply_end_transform(unit_triangle, unit_triangle.vertices[:2], np.zeros(3))
+    for fs in (triangle_strip(4, seed=5), _polyline(seed=5)):
+        grads = cell_geometry(fs).volume_grads
+        assert grads.shape == (fs.n_cells, fs.dim_d + 1, fs.dim_n)
+        for t in range(fs.n_cells):
+            for j in range(fs.dim_d + 1):
+                for axis in range(fs.dim_n):
+                    vp = fs.vertices.copy()
+                    vm = fs.vertices.copy()
+                    vp[fs.cells[t, j], axis] += eps
+                    vm[fs.cells[t, j], axis] -= eps
+                    fd = (
+                        cell_geometry(fs.with_(vertices=vp)).volumes[t]
+                        - cell_geometry(fs.with_(vertices=vm)).volumes[t]
+                    ) / (2 * eps)
+                    assert grads[t, j, axis] == pytest.approx(fd, abs=2e-9)
 
 
 def test_immutable_arrays(unit_triangle):

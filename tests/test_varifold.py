@@ -13,6 +13,8 @@ from metamorph import (
     to_varifold,
     varifold_inner,
 )
+from metamorph import fshape
+from metamorph import varifold as varifold_module
 from metamorph.kernels import grassmann_eval, radial_eval
 
 from conftest import triangle_strip
@@ -125,6 +127,30 @@ def test_fidelity_far_apart_supports():
     total = fidelity(a, nu, K)
     separate = varifold_inner(mu, mu, K) + varifold_inner(nu, nu, K)
     assert abs(total - separate) < 1e-10 * total
+
+
+def test_fidelity_evaluates_target_self_term_once_per_kernels(monkeypatch):
+    fs = triangle_strip(4, seed=8)
+    target = to_varifold(triangle_strip(5, seed=9))
+    inner = varifold_module.varifold_inner
+    self_pairs = []
+
+    def counting(a, b, kernels):
+        if a is target and b is target:
+            self_pairs.append(kernels)
+        return inner(a, b, kernels)
+
+    monkeypatch.setattr(varifold_module, "varifold_inner", counting)
+    first = fidelity(fs, target, K)
+    assert fidelity(fs, target, K) == first
+    assert self_pairs == [K]
+    coarse = K.rescaled(2.0, 2.0)
+    fidelity(fs, target, coarse)
+    fidelity(fs, target, coarse)
+    assert self_pairs == [K, coarse]
+    # the kept value is the one a fresh evaluation gives, to the bit
+    assert target.self_inner(K) == inner(target, target, K)
+    assert target.self_inner(coarse) == inner(target, target, coarse)
 
 
 def test_fidelity_refinement_stability():
@@ -249,6 +275,21 @@ def test_grad_fidelity_matches_fd(kernels):
         ) / (2 * eps)
     denom = max(np.abs(fd_f).max(), 1e-12)
     assert np.abs(gf - fd_f).max() / denom < 1e-5
+
+
+def test_grad_fidelity_measures_cells_once(monkeypatch):
+    # centers, weights, frames and their chain rule read one geometry record
+    measured = []
+    compute = fshape._compute_geometry
+    monkeypatch.setattr(
+        fshape, "_compute_geometry", lambda fs: measured.append(fs) or compute(fs)
+    )
+    src = triangle_strip(4, seed=23)
+    tgt = to_varifold(triangle_strip(5, seed=24))
+    measured.clear()
+    fidelity(src, tgt, K)
+    grad_fidelity(src, tgt, K)
+    assert len(measured) == 1 and measured[0] is src
 
 
 def test_grad_fidelity_d1_matches_fd():
