@@ -7,7 +7,10 @@ momentum and functional momentum. The reduced Hamiltonian is
                    + pf . D(x)^-1 pf / (2 gamma_f)
 
 with D(x) the signal-metric matrix. Geodesics follow the canonical equations;
-pf is a conserved quantity and is never integrated. The gradient is the exact
+pf is a conserved quantity and is never integrated. H is quadratic in the
+momenta, so a shot's energy and its gradient in (p0, pf) follow from the
+initial velocity, which the trajectory keeps from its first flow-field
+evaluation. The fidelity's gradient is the exact
 discrete adjoint of the forward RK4 scheme: the forward pass records the stage
 points of every step, and the backward pass applies the transposed RK4 step
 at those same points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
@@ -59,10 +62,19 @@ class Trajectory:
     ``states[k]`` to ``states[k + 1]`` evaluated the flow field after its
     first stage (the first is ``states[k]`` itself). f does not enter the
     flow field and pf is constant, so (x, p) fixes each stage.
+    ``initial_velocity`` is (dx, df) at ``states[0]``, from the first
+    flow-field evaluation; ``energy`` is the geodesic energy computed from it.
     """
 
     states: tuple[ShootingState, ...]
     stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
+    initial_velocity: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def energy(self) -> float:
+        # H is quadratic in (p, pf) and (dx, df) = dH/d(p, pf): H(0) = 1/2 <(p0, pf), (dx, df)(0)>
+        (dx0, df0), s = self.initial_velocity, self.initial
+        return 0.5 * (float(np.sum(s.p * dx0)) + float(s.pf @ df0))
 
     @property
     def n_steps(self) -> int:
@@ -96,22 +108,13 @@ class MatchProblem:
             raise ValueError("gamma_W must be nonnegative")
 
 
-def _solve_signal_velocity(
-    template: DiscreteFshape, cfg: DynamicsConfig, x: np.ndarray, pf: np.ndarray
-) -> np.ndarray:
-    """h = D(x)^-1 pf on the template connectivity moved to x."""
-    fs_x = template.with_(vertices=x)
-    D = assemble_metric(fs_x, cfg.metric)
-    return solve_spd(D, pf)
-
-
 def reduced_hamiltonian(
     state: ShootingState, template: DiscreteFshape, cfg: DynamicsConfig
 ) -> float:
     """Kinetic energy of the joint flow at the given state."""
     geom = quad_form(cfg.kernel, state.x, state.p) / (2.0 * cfg.gamma_V)
-    h = _solve_signal_velocity(template, cfg, state.x, state.pf)
-    sig = float(state.pf @ h) / (2.0 * cfg.gamma_f)
+    D = assemble_metric(template.with_(vertices=state.x), cfg.metric)
+    sig = float(state.pf @ solve_spd(D, state.pf)) / (2.0 * cfg.gamma_f)
     return geom + sig
 
 
@@ -142,7 +145,8 @@ def integrate_forward(
 ) -> Trajectory:
     """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
 
-    The trajectory keeps every step's stage points for the adjoint.
+    The trajectory keeps every step's stage points for the adjoint, and the
+    initial velocity for the energy and its gradient.
     """
     dt = 1.0 / cfg.n_steps
     pf = state0.pf
@@ -153,6 +157,8 @@ def integrate_forward(
     stages = []
     for k in range(cfg.n_steps):
         ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
+        if k == 0:
+            initial_velocity = (ax1, af1)
         z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
         ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
         z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
@@ -168,7 +174,7 @@ def integrate_forward(
             raise RuntimeError(f"non-finite state after step {k + 1} of {cfg.n_steps}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         stages.append((z2, z3, z4))
-    return Trajectory(states=tuple(states), stages=tuple(stages))
+    return Trajectory(tuple(states), tuple(stages), initial_velocity)
 
 
 def _vjp(
@@ -245,7 +251,8 @@ def euclidean_objective_gradient(
     """Plain partial derivatives (dJ/dp0, dJ/dpf) of the matching objective.
 
     ``trajectory`` is the forward shot of (p0, pf), when the caller already
-    has it; otherwise it is shot here.
+    has it; otherwise it is shot here. The energy's part of the gradient is
+    the shot's initial velocity.
     """
     template = problem.template
     cfg = problem.dynamics
@@ -262,7 +269,5 @@ def euclidean_objective_gradient(
         Pf=np.zeros_like(pf),
     )
     adj0 = integrate_adjoint_backward(trajectory, end, template, cfg)
-    grad_p0 = kernel_conv(cfg.kernel, template.vertices, template.vertices, p0)
-    grad_p0 = grad_p0 / cfg.gamma_V + adj0.Pvar
-    h0 = _solve_signal_velocity(template, cfg, template.vertices, np.asarray(pf, float))
-    return grad_p0, h0 / cfg.gamma_f + adj0.Pf
+    dx0, df0 = trajectory.initial_velocity
+    return dx0 + adj0.Pvar, df0 + adj0.Pf

@@ -355,6 +355,9 @@ def read_momenta(path, shape: tuple[int, ...]) -> np.ndarray:
     data = np.atleast_1d(data)
     if data.size != int(np.prod(shape)):
         raise UserError(f"{path}: expected {shape} values, found shape {data.shape}")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise UserError(f"{path}: non-finite value {data.flat[bad[0]]} at entry {bad[0]}")
     return data.reshape(shape)
 
 
@@ -446,6 +449,13 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise UserError(f"config: unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """A JSON number with an integral value; booleans, strings and fractions fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise UserError(f"config: {where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(data: dict) -> MatchConfig:
     """Build a MatchConfig from a JSON-style dict; unknown keys are rejected."""
     if not isinstance(data, dict):
@@ -469,13 +479,12 @@ def config_from_dict(data: dict) -> MatchConfig:
         )
         met = merged["metric"]
         _reject_unknown(met, {"s", "scheme"}, "metric")
-        metric = FunctionalMetric(order=int(met["s"]), scheme=met.get("scheme", "p1"))
+        metric = FunctionalMetric(_integer(met["s"], "metric.s"), met.get("scheme", "p1"))
         stages = []
         for item in merged["schedule"]:
             _reject_unknown(item, {"scale_p", "scale_f", "iters"}, "schedule")
-            stages.append(
-                ScaleStage(float(item["scale_p"]), float(item["scale_f"]), int(item["iters"]))
-            )
+            iters = _integer(item["iters"], "schedule.iters")
+            stages.append(ScaleStage(float(item["scale_p"]), float(item["scale_f"]), iters))
         return MatchConfig(
             gamma_V=float(merged["gamma_V"]),
             gamma_f=float(merged["gamma_f"]),
@@ -483,7 +492,7 @@ def config_from_dict(data: dict) -> MatchConfig:
             deformation_kernel=deformation,
             fidelity_kernels=kernels,
             metric=metric,
-            n_steps=int(merged["n_steps"]),
+            n_steps=_integer(merged["n_steps"], "n_steps"),
             scale_schedule=tuple(stages),
             step_init=float(merged["step_init"]),
             grad_tol=float(merged["grad_tol"]),

@@ -216,6 +216,11 @@ def validate_fshape(fs: DiscreteFshape) -> list[str]:
     """
     violations: list[str] = []
     P = fs.n_vertices
+    finite = np.isfinite(fs.vertices).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        violations.append(f"vertex {i}: non-finite coordinates {fs.vertices[i].tolist()}")
+    for i in np.flatnonzero(~np.isfinite(fs.signals)):
+        violations.append(f"vertex {i}: non-finite signal {fs.signals[i]}")
     cells = fs.cells
     out_of_range = (cells < 0) | (cells >= P)
     for t in np.flatnonzero(out_of_range.any(axis=1)):
@@ -227,9 +232,9 @@ def validate_fshape(fs: DiscreteFshape) -> list[str]:
     repeated = (np.diff(sorted_cells, axis=1) == 0).any(axis=1)
     for t in np.flatnonzero(repeated):
         violations.append(f"cell {t}: repeated vertex indices {cells[t].tolist()}")
-    # Volume check only where indices are usable.
+    # Volume check only where indices are usable and every vertex is finite.
     usable = ~(out_of_range.any(axis=1) | repeated)
-    if usable.any():
+    if usable.any() and finite.all():
         sub = DiscreteFshape(fs.vertices, fs.signals, cells[usable])
         bad_local = degenerate_cells(sub)
         original = np.flatnonzero(usable)[bad_local]

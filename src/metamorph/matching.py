@@ -15,11 +15,12 @@ rate. The descent accepts a step only if J strictly decreases, shrinking the
 step on rejection and growing it on acceptance. Momenta start at zero, so
 the whole procedure is deterministic.
 
-Each momenta pair is shot once. ``objective`` returns the trajectory with
-J, and the descent keeps the trajectory of the accepted candidate: the
-gradient transports its adjoint backward along it, the next stage scores it
-under its rescaled fidelity kernels (the flow does not depend on them), and
-the result returns it.
+Each momenta pair is shot once, and J is read from the shot alone: its
+energy from the trajectory's initial velocity, its fidelity from the end
+state. ``objective`` returns the trajectory with J, and the descent keeps the
+trajectory of the accepted candidate: the gradient transports its adjoint
+backward along it, the next stage scores it under its rescaled fidelity
+kernels (the flow does not depend on them), and the result returns it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .dynamics import (
     Trajectory,
     euclidean_objective_gradient,
     integrate_forward,
-    reduced_hamiltonian,
 )
 from .fem import FunctionalMetric, assemble_metric
 from .fshape import DiscreteFshape, ShootingState
@@ -42,6 +42,8 @@ from .kernels import GrassmannKernelSpec, RadialKernelSpec, gaussian
 from .varifold import VarifoldKernels, fidelity, to_varifold
 
 STEP_UNDERFLOW_FACTOR = 1e-12
+STEP_SHRINK = 0.5
+STEP_GROW = 1.2
 
 
 @dataclass(frozen=True)
@@ -75,15 +77,14 @@ class MatchConfig:
         ScaleStage(1.0, 1.0, 100),
     )
     step_init: float = 1.0
-    step_shrink: float = 0.5
-    step_grow: float = 1.2
     grad_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.gamma_V, self.gamma_f, self.gamma_W) <= 0:
-            raise ValueError("gamma_V, gamma_f and gamma_W must be positive")
-        if self.step_init <= 0 or not 0 < self.step_shrink < 1 or self.step_grow < 1:
-            raise ValueError("invalid step-size controls")
+        self.dynamics()  # DynamicsConfig checks gamma_V, gamma_f and n_steps
+        if self.gamma_W <= 0:
+            raise ValueError("gamma_W must be positive")
+        if self.step_init <= 0:
+            raise ValueError("step_init must be positive")
         if not self.scale_schedule:
             raise ValueError("scale_schedule must contain at least one stage")
 
@@ -148,21 +149,17 @@ def objective(
     """Objective value, its (energy, fidelity) split and the forward shot;
     J = energy + gamma_W * fidelity."""
     template = problem.template
-    cfg = problem.dynamics
     state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
-    energy = reduced_hamiltonian(state0, template, cfg)
-    traj = integrate_forward(state0, template, cfg)
-    return (*_score(energy, traj, problem), traj)
+    traj = integrate_forward(state0, template, problem.dynamics)
+    return (*_score(traj, problem), traj)
 
 
-def _score(
-    energy: float, traj: Trajectory, problem: MatchProblem
-) -> tuple[float, float, float]:
-    """(J, energy, fidelity) of a shot whose energy and trajectory are known."""
+def _score(traj: Trajectory, problem: MatchProblem) -> tuple[float, float, float]:
+    """(J, energy, fidelity) of a shot."""
     end = traj.final
     fs1 = problem.template.with_(vertices=end.x, signals=end.f)
     fid = fidelity(fs1, problem.target, problem.fidelity_kernels)
-    return energy + problem.gamma_W * fid, energy, fid
+    return traj.energy + problem.gamma_W * fid, traj.energy, fid
 
 
 def shoot(
@@ -194,13 +191,10 @@ def match(
     step = cfg.step_init
     converged = False
     reason = "max iterations"
-    traj = None
+    traj = shoot(source, p0, pf, cfg)
     for stage in cfg.scale_schedule:
         problem = _problem(source, target_var, cfg, stage)
-        if traj is None:
-            J, energy, fid, traj = objective(p0, pf, problem)
-        else:
-            J, energy, fid = _score(energy, traj, problem)
+        J, energy, fid = _score(traj, problem)
         if not np.isfinite(J):
             raise RuntimeError(f"objective is not finite at initialization ({J})")
         history.append((iteration, J, energy, fid))
@@ -228,10 +222,10 @@ def match(
                     J, energy, fid = Jc, ec, fc
                     iteration += 1
                     history.append((iteration, J, energy, fid))
-                    step *= cfg.step_grow
+                    step *= STEP_GROW
                     accepted = True
                     break
-                step *= cfg.step_shrink
+                step *= STEP_SHRINK
             if not accepted:
                 reason = "step underflow"
                 converged = False

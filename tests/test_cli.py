@@ -289,3 +289,55 @@ def test_unknown_config_key_is_user_error(mesh_pair, tmp_path, capsys):
     code = main(["distance", str(src_path), str(tgt_path), "--config", str(bad)])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def _shoot_args(src_path, config_path, tmp_path, pf=None):
+    src = read_fshape(src_path)
+    p0_path = tmp_path / "p0.txt"
+    pf_path = tmp_path / "pf.txt"
+    write_momenta(p0_path, np.zeros_like(src.vertices))
+    write_momenta(pf_path, np.zeros(src.n_vertices) if pf is None else pf)
+    return [
+        "shoot",
+        str(src_path),
+        "--p0",
+        str(p0_path),
+        "--pf",
+        str(pf_path),
+        "--config",
+        str(config_path),
+        "--out",
+        str(tmp_path / "shot"),
+    ]
+
+
+def test_validate_reports_non_finite_vertex(tmp_path, capsys):
+    path = tmp_path / "nan.fsh"
+    path.write_text("fshape 2 3 3 1\n0 0 0 0\nnan 0 0 0\n0 1 0 0\n0 1 2\n")
+    assert main(["validate", str(path)]) == 1
+    assert "vertex 1: non-finite coordinates" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("broken", ["mesh", "pf"])
+def test_shoot_non_finite_input_is_user_error(broken, mesh_pair, config_path, tmp_path, capsys):
+    src_path, _ = mesh_pair
+    src = read_fshape(src_path)
+    pf = np.zeros(src.n_vertices)
+    if broken == "pf":
+        pf[3] = np.nan
+    else:
+        vertices = src.vertices.copy()
+        vertices[3, 0] = np.nan
+        write_fshape(src_path, src.with_(vertices=vertices))
+    assert main(_shoot_args(src_path, config_path, tmp_path, pf)) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_steps", [1, 10.7, True])
+def test_bad_step_count_is_user_error(n_steps, mesh_pair, config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config["n_steps"] = n_steps
+    config_path.write_text(json.dumps(config))
+    src_path, _ = mesh_pair
+    assert main(_shoot_args(src_path, config_path, tmp_path)) == 1
+    assert "n_steps" in capsys.readouterr().err

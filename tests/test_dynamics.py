@@ -21,7 +21,7 @@ from metamorph import (
     reduced_hamiltonian,
     to_varifold,
 )
-from metamorph import fshape
+from metamorph import dynamics, fshape
 from metamorph.cli import GRADCHECK_TOL
 from metamorph.dynamics import _rhs_blocks, euclidean_objective_gradient
 from metamorph.kernels import gaussian
@@ -90,6 +90,40 @@ def test_hamiltonian_gamma_f_homogeneity():
         ShootingState(state.x, state.f, state.p, np.zeros(fs.n_vertices)), fs, cfg
     )
     assert term(doubled) == pytest.approx(term(base) / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("metric", [LUMPED, FunctionalMetric(0, "p1"), H1])
+def test_trajectory_energy_is_initial_hamiltonian(metric):
+    # H is quadratic in the momenta: 1/2 <(p, pf), (dx, df)> at t = 0 is H(0)
+    fs = triangle_strip(4, seed=36)
+    cfg = _config(metric=metric, n_steps=2, gamma_V=1.7, gamma_f=0.6)
+    traj = integrate_forward(_random_state(fs, 37), fs, cfg)
+    assert traj.energy == pytest.approx(
+        reduced_hamiltonian(traj.initial, fs, cfg), rel=1e-13
+    )
+
+
+def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
+    # neither the energy nor its gradient assembles D(x0) or convolves K(x0)
+    # again: every assemble and convolution is one RHS evaluation's
+    calls = {"assemble_metric": 0, "kernel_conv": 0, "quad_form": 0}
+    for name in calls:
+        original = getattr(dynamics, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    src = triangle_strip(4, seed=38)
+    cfg = _config(metric=H1, n_steps=3, gamma_V=1.7, gamma_f=0.6)
+    problem = MatchProblem(src, to_varifold(triangle_strip(4, seed=39)), FID_KERNELS, 3.0, cfg)
+    state0 = _random_state(src, 40)
+    _, _, _, traj = objective(state0.p, state0.pf, problem)
+    assert calls == {"assemble_metric": 4 * 3, "kernel_conv": 4 * 3, "quad_form": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    euclidean_objective_gradient(state0.p, state0.pf, problem, trajectory=traj)
+    assert calls == {"assemble_metric": 8 * 3, "kernel_conv": 8 * 3, "quad_form": 0}
 
 
 def test_forward_rhs_zero_momenta():

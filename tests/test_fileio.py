@@ -139,6 +139,13 @@ def test_momenta_shape_check(tmp_path):
         read_momenta(path, (5,))
 
 
+def test_momenta_non_finite_rejected(tmp_path):
+    path = tmp_path / "pf.txt"
+    path.write_text("0.5\nnan\n1.0\n")
+    with pytest.raises(UserError, match="non-finite value nan at entry 1"):
+        read_momenta(path, (3,))
+
+
 def test_write_trajectory_outputs(tmp_path):
     from metamorph import FunctionalMetric, RadialKernelSpec
 
@@ -206,6 +213,25 @@ def test_config_round_trip_and_unknown_keys(tmp_path):
         config_from_dict({"metric": {"s": 0, "lumping": True}})
     with pytest.raises(UserError, match="unknown key"):
         config_from_dict({"schedule": [{"scale_p": 1.0, "scale_f": 1.0, "n": 3}]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n_steps": 10.7},
+        {"n_steps": True},
+        {"n_steps": "10"},
+        {"schedule": [{"scale_p": 1.0, "scale_f": 1.0, "iters": 2.5}]},
+        {"metric": {"s": True, "scheme": "p1"}},
+    ],
+)
+def test_config_integer_fields_reject_non_integers(data):
+    with pytest.raises(UserError, match="must be an integer"):
+        config_from_dict(data)
+
+
+def test_config_integral_float_is_accepted():
+    assert config_from_dict({"n_steps": 12.0}).n_steps == 12
 
 
 def test_retired_fd_epsilon_key_is_rejected(tmp_path):

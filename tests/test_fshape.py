@@ -47,6 +47,18 @@ def test_validate_repeated_index():
     assert any("repeated" in v for v in violations)
 
 
+def test_validate_non_finite_vertices():
+    fs = DiscreteFshape(
+        vertices=[[0.0, 0, 0], [np.nan, 0, 0], [0, 1.0, 0]],
+        signals=[0.0, 0, np.inf],
+        cells=[[0, 1, 2]],
+    )
+    violations = validate_fshape(fs)
+    assert len(violations) == 2
+    assert violations[0].startswith("vertex 1: non-finite coordinates")
+    assert violations[1].startswith("vertex 2: non-finite signal")
+
+
 def test_validate_idempotent(unit_triangle):
     first = validate_fshape(unit_triangle)
     second = validate_fshape(unit_triangle)

@@ -255,5 +255,5 @@ def test_match_config_validation():
         _config(gamma_V=-1.0)
     with pytest.raises(ValueError):
         _config(scale_schedule=())
-    with pytest.raises(ValueError):
-        _config(step_shrink=1.5)
+    with pytest.raises(ValueError, match="n_steps"):
+        _config(n_steps=1)
