@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -456,6 +457,13 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise UserError(f"config: {where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict) -> MatchConfig:
     """Build a MatchConfig from a JSON-style dict; unknown keys are rejected."""
     if not isinstance(data, dict):
@@ -468,13 +476,14 @@ def config_from_dict(data: dict) -> MatchConfig:
         terms = []
         for item in kern["terms"]:
             _reject_unknown(item, {"weight", "sigma"}, "deformation_kernel.terms")
-            terms.append((float(item["weight"]), float(item["sigma"])))
+            weight = _real(item["weight"], "deformation_kernel.terms.weight")
+            terms.append((weight, _real(item["sigma"], "deformation_kernel.terms.sigma")))
         deformation = RadialKernelSpec(kern["family"], tuple(terms))
         fid = merged["fidelity"]
         _reject_unknown(fid, {"sigma_p", "sigma_f", "kt_mode"}, "fidelity")
         kernels = VarifoldKernels(
-            kp=RadialKernelSpec("gaussian", ((1.0, float(fid["sigma_p"])),)),
-            kf=RadialKernelSpec("gaussian", ((1.0, float(fid["sigma_f"])),)),
+            kp=RadialKernelSpec("gaussian", ((1.0, _real(fid["sigma_p"], "fidelity.sigma_p")),)),
+            kf=RadialKernelSpec("gaussian", ((1.0, _real(fid["sigma_f"], "fidelity.sigma_f")),)),
             kt=GrassmannKernelSpec(fid.get("kt_mode", "unoriented_squared")),
         )
         met = merged["metric"]
@@ -484,18 +493,20 @@ def config_from_dict(data: dict) -> MatchConfig:
         for item in merged["schedule"]:
             _reject_unknown(item, {"scale_p", "scale_f", "iters"}, "schedule")
             iters = _integer(item["iters"], "schedule.iters")
-            stages.append(ScaleStage(float(item["scale_p"]), float(item["scale_f"]), iters))
+            scale_p = _real(item["scale_p"], "schedule.scale_p")
+            scale_f = _real(item["scale_f"], "schedule.scale_f")
+            stages.append(ScaleStage(scale_p, scale_f, iters))
         return MatchConfig(
-            gamma_V=float(merged["gamma_V"]),
-            gamma_f=float(merged["gamma_f"]),
-            gamma_W=float(merged["gamma_W"]),
+            gamma_V=_real(merged["gamma_V"], "gamma_V"),
+            gamma_f=_real(merged["gamma_f"], "gamma_f"),
+            gamma_W=_real(merged["gamma_W"], "gamma_W"),
             deformation_kernel=deformation,
             fidelity_kernels=kernels,
             metric=metric,
             n_steps=_integer(merged["n_steps"], "n_steps"),
             scale_schedule=tuple(stages),
-            step_init=float(merged["step_init"]),
-            grad_tol=float(merged["grad_tol"]),
+            step_init=_real(merged["step_init"], "step_init"),
+            grad_tol=_real(merged["grad_tol"], "grad_tol"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise UserError(f"config: {exc}") from None

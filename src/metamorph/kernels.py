@@ -1,8 +1,13 @@
 """Radial deformation kernels and Grassmann frame kernels.
 
 All radial profiles are functions of the *squared* distance u = |x - y|^2.
-Sums are evaluated directly (O(PQ)); rows of every output are independent so
-the functions are safe to call concurrently on shared inputs.
+This module is the only place that forms pairwise data: ``pairwise_sq_dists``
+is the one distance routine, for positions and signals alike, and
+``offset_sum`` the one reduction of weighted pair offsets. Sums are evaluated
+directly in O(PQ) time and memory, with no P x Q x n difference tensor; rows
+of every output are independent so the functions are safe to call
+concurrently on shared inputs. Frame kernels take unit frames as given;
+``DiscreteVarifold`` validates them at construction.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ import numpy as np
 
 _RADIAL_FAMILIES = ("gaussian", "cauchy")
 _GRASSMANN_MODES = ("unoriented_squared", "oriented_linear", "constant")
-
-UNIT_FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,9 +82,24 @@ def radial_deriv(spec: RadialKernelSpec, u):
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 matrix, exact for coincident points."""
-    diff = x[:, None, :] - y[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    """|x_i - y_j|^2 matrix, exact for coincident points.
+
+    Accumulates one coordinate at a time into the P x Q output, with one
+    P x Q scratch buffer for the squared coordinate differences.
+    """
+    out = np.subtract.outer(x[:, 0], y[:, 0])
+    out *= out
+    t = np.empty_like(out)
+    for k in range(1, x.shape[1]):
+        np.subtract.outer(x[:, k], y[:, k], out=t)
+        t *= t
+        out += t
+    return out
+
+
+def offset_sum(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row sums sum_j w[i, j] (x_i - y_j), without forming the differences."""
+    return w.sum(axis=1)[:, None] * x - w @ y
 
 
 def _check_points(x, y=None):
@@ -126,23 +144,7 @@ def quad_form_grad_x(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> np
         raise ValueError(f"momenta shape {p.shape} != points shape {x.shape}")
     u = pairwise_sq_dists(x, x)
     w = radial_deriv(spec, u) * (p @ p.T)
-    return 4.0 * (w.sum(axis=1)[:, None] * x - w @ x)
-
-
-def scalar_kernel_eval(spec: RadialKernelSpec, a, b):
-    """Signal kernel k_f(a, b) = radial profile of (a - b)^2."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return radial_eval(spec, (a - b) ** 2)
-
-
-def scalar_kernel_grad(spec: RadialKernelSpec, a, b):
-    """d/da of scalar_kernel_eval."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a - b
-    out = radial_deriv(spec, d**2) * 2.0 * d
-    return out if out.ndim else float(out)
+    return 4.0 * offset_sum(w, x, x)
 
 
 @dataclass(frozen=True)
@@ -159,51 +161,10 @@ class GrassmannKernelSpec:
             raise ValueError(f"unknown Grassmann kernel mode {self.mode!r}")
 
 
-def _check_unit(v: np.ndarray, name: str):
-    norms = np.linalg.norm(v, axis=-1)
-    if np.any(np.abs(norms - 1.0) > UNIT_FRAME_TOL):
-        worst = float(np.abs(norms - 1.0).max())
-        raise ValueError(f"{name} must be unit vectors (max |norm-1| = {worst:g})")
-
-
-def grassmann_eval(spec: GrassmannKernelSpec, u: np.ndarray, v: np.ndarray):
-    """Frame kernel value; u, v are unit n-vectors (broadcastable)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_unit(u, "u")
-    _check_unit(v, "v")
-    dot = np.sum(u * v, axis=-1)
-    if spec.mode == "unoriented_squared":
-        out = dot**2
-    elif spec.mode == "oriented_linear":
-        out = dot
-    else:
-        out = np.ones_like(dot)
-    return out if out.ndim else float(out)
-
-
-def grassmann_grad(spec: GrassmannKernelSpec, u: np.ndarray, v: np.ndarray):
-    """d/du of grassmann_eval, projected onto the tangent space at u."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_unit(u, "u")
-    _check_unit(v, "v")
-    dot = np.sum(u * v, axis=-1)[..., None]
-    if spec.mode == "unoriented_squared":
-        raw = 2.0 * dot * v
-    elif spec.mode == "oriented_linear":
-        raw = np.broadcast_to(v, np.broadcast_shapes(u.shape, v.shape)).copy()
-    else:
-        return np.zeros(np.broadcast_shapes(u.shape, v.shape))
-    return raw - np.sum(raw * u, axis=-1)[..., None] * u
-
-
 def grassmann_matrix(
     spec: GrassmannKernelSpec, U: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
     """All-pairs frame kernel values for rows of U (T x n) and V (T' x n)."""
-    _check_unit(U, "U")
-    _check_unit(V, "V")
     dot = U @ V.T
     if spec.mode == "unoriented_squared":
         return dot**2
@@ -220,8 +181,6 @@ def grassmann_grad_sum(
     Returns G with G[i] = sum_j coeffs[i, j] * d/du k_t(U[i], V[j]), projected
     onto the tangent space at U[i].
     """
-    _check_unit(U, "U")
-    _check_unit(V, "V")
     if spec.mode == "constant":
         return np.zeros_like(U)
     dot = U @ V.T

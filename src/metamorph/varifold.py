@@ -5,9 +5,13 @@ unit frame, d-volume, mean signal). The fidelity is the squared kernel-metric
 distance between the two Dirac sums, with positive kernels on positions,
 signal values and frames; gradients are chained back to vertex positions and
 vertex signals through the per-cell edges, frames and volume gradients of the
-mesh's memoised ``cell_geometry`` record. The target's self-term <nu, nu>
-does not depend on the moving mesh, so each target varifold computes it once
-per kernel triple and ``fidelity`` reuses it.
+mesh's memoised ``cell_geometry`` record. Centre and signal distances and
+their partials come from ``kernels.pairwise_sq_dists`` and
+``kernels.offset_sum``, so every pairwise array is T x T' with no T x T' x n
+tensor. Frames are checked to be unit vectors once, when a
+``DiscreteVarifold`` is built. The target's self-term <nu, nu> does not
+depend on the moving mesh, so each target varifold computes it once per
+kernel triple and ``fidelity`` reuses it.
 """
 
 from __future__ import annotations
@@ -22,9 +26,13 @@ from .kernels import (
     RadialKernelSpec,
     grassmann_grad_sum,
     grassmann_matrix,
+    offset_sum,
+    pairwise_sq_dists,
     radial_deriv,
     radial_eval,
 )
+
+UNIT_FRAME_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,11 @@ class DiscreteVarifold:
             raise ValueError("weights and cell_signals must be length-T vectors")
         if np.any(w <= 0):
             raise ValueError("varifold weights must be strictly positive")
+        off_unit = np.abs(np.linalg.norm(u, axis=1) - 1.0)
+        if np.any(off_unit > UNIT_FRAME_TOL):
+            raise ValueError(
+                f"frames must be unit vectors (max |norm-1| = {float(off_unit.max()):g})"
+            )
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "frames", u)
         object.__setattr__(self, "weights", w)
@@ -91,13 +104,10 @@ def to_varifold(fs: DiscreteFshape) -> DiscreteVarifold:
 
 
 def _kernel_matrices(a: DiscreteVarifold, b: DiscreteVarifold, K: VarifoldKernels):
-    diff = a.centers[:, None, :] - b.centers[None, :, :]
-    u2 = np.einsum("ijk,ijk->ij", diff, diff)
-    kp = radial_eval(K.kp, u2)
-    sdiff = a.cell_signals[:, None] - b.cell_signals[None, :]
-    kf = radial_eval(K.kf, sdiff**2)
+    u2 = pairwise_sq_dists(a.centers, b.centers)
+    s2 = pairwise_sq_dists(a.cell_signals[:, None], b.cell_signals[:, None])
     kt = grassmann_matrix(K.kt, a.frames, b.frames)
-    return diff, u2, kp, sdiff, kf, kt
+    return u2, radial_eval(K.kp, u2), s2, radial_eval(K.kf, s2), kt
 
 
 def varifold_inner(
@@ -106,7 +116,7 @@ def varifold_inner(
     """Kernel inner product of two discrete varifolds."""
     if a.centers.shape[1] != b.centers.shape[1]:
         raise ValueError("varifolds live in different ambient dimensions")
-    _, _, kp, _, kf, kt = _kernel_matrices(a, b, K)
+    _, kp, _, kf, kt = _kernel_matrices(a, b, K)
     return float(a.weights @ (kp * kf * kt) @ b.weights)
 
 
@@ -114,12 +124,12 @@ def _inner_first_partials(
     a: DiscreteVarifold, b: DiscreteVarifold, K: VarifoldKernels
 ):
     """Partials of varifold_inner(a, b) w.r.t. a's centers/signals/frames/weights."""
-    diff, u2, kp, sdiff, kf, kt = _kernel_matrices(a, b, K)
+    u2, kp, s2, kf, kt = _kernel_matrices(a, b, K)
     ww = a.weights[:, None] * b.weights[None, :]
-    d_centers = 2.0 * np.einsum(
-        "ij,ijk->ik", radial_deriv(K.kp, u2) * kf * kt * ww, diff
-    )
-    d_signals = 2.0 * np.sum(kp * radial_deriv(K.kf, sdiff**2) * sdiff * kt * ww, axis=1)
+    d_centers = 2.0 * offset_sum(radial_deriv(K.kp, u2) * kf * kt * ww, a.centers, b.centers)
+    d_signals = 2.0 * offset_sum(
+        kp * radial_deriv(K.kf, s2) * kt * ww, a.cell_signals[:, None], b.cell_signals[:, None]
+    )[:, 0]
     d_frames = grassmann_grad_sum(K.kt, a.frames, b.frames, kp * kf * ww)
     d_weights = (kp * kf * kt) @ b.weights
     return d_centers, d_signals, d_frames, d_weights

@@ -291,6 +291,16 @@ def test_unknown_config_key_is_user_error(mesh_pair, tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_non_finite_config_number_is_user_error(mesh_pair, tmp_path, capsys):
+    # json writes and reads NaN although it is not standard JSON
+    src_path, tgt_path = mesh_pair
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"step_init": float("nan")}))
+    code = main(["distance", str(src_path), str(tgt_path), "--config", str(bad)])
+    assert code == 1
+    assert "step_init must be a finite number" in capsys.readouterr().err
+
+
 def _shoot_args(src_path, config_path, tmp_path, pf=None):
     src = read_fshape(src_path)
     p0_path = tmp_path / "p0.txt"

@@ -230,6 +230,27 @@ def test_config_integer_fields_reject_non_integers(data):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"gamma_V": True},
+        {"gamma_f": "2"},
+        {"gamma_W": "20"},
+        {"step_init": float("nan")},
+        {"grad_tol": float("inf")},
+        {"fidelity": {"sigma_p": True, "sigma_f": 1.0}},
+        {"fidelity": {"sigma_p": 1.0, "sigma_f": float("-inf")}},
+        {"deformation_kernel": {"family": "gaussian", "terms": [{"weight": "1", "sigma": 0.5}]}},
+        {"deformation_kernel": {"family": "gaussian", "terms": [{"weight": 1.0, "sigma": None}]}},
+        {"schedule": [{"scale_p": float("nan"), "scale_f": 1.0, "iters": 2}]},
+        {"schedule": [{"scale_p": 1.0, "scale_f": False, "iters": 2}]},
+    ],
+)
+def test_config_real_fields_reject_non_finite_and_non_numbers(data):
+    with pytest.raises(UserError, match="must be a finite number"):
+        config_from_dict(data)
+
+
 def test_config_integral_float_is_accepted():
     assert config_from_dict({"n_steps": 12.0}).n_steps == 12
 

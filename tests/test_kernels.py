@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,11 @@ from metamorph import (
     radial_eval,
 )
 from metamorph.kernels import (
-    grassmann_eval,
-    grassmann_grad,
     grassmann_grad_sum,
     grassmann_matrix,
+    offset_sum,
+    pairwise_sq_dists,
     radial_deriv,
-    scalar_kernel_eval,
-    scalar_kernel_grad,
 )
 
 GAUSS = RadialKernelSpec("gaussian", ((1.0, 0.3),))
@@ -58,6 +58,51 @@ def test_radial_deriv_matches_fd(spec):
         if u == 0.0:
             continue  # one-sided FD too crude at the boundary
         assert radial_deriv(spec, u) == pytest.approx(fd, rel=1e-7)
+
+
+def test_pairwise_sq_dists_matches_double_loop():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 3):
+        x = rng.standard_normal((7, n))
+        y = 3.0 * rng.standard_normal((5, n))
+        expected = np.array(
+            [[sum((x[i, k] - y[j, k]) ** 2 for k in range(n)) for j in range(5)] for i in range(7)]
+        )
+        np.testing.assert_allclose(pairwise_sq_dists(x, y), expected, rtol=1e-15, atol=0.0)
+
+
+def test_pairwise_sq_dists_exact_zero_for_coincident_points():
+    rng = np.random.default_rng(11)
+    x = 100.0 + rng.standard_normal((6, 3))
+    assert np.all(np.diag(pairwise_sq_dists(x, x)) == 0.0)
+    y = rng.standard_normal((4, 3))
+    xd = np.vstack([y[2], x[:2], y[0]])
+    u = pairwise_sq_dists(xd, y)
+    assert u[0, 2] == 0.0 and u[3, 0] == 0.0
+    assert np.all(u[1:3] > 0.0)
+
+
+def test_pairwise_sq_dists_builds_no_difference_tensor():
+    # One P x Q output plus one P x Q scratch; a P x Q x n tensor would be 3P^2.
+    P = 500
+    x = np.random.default_rng(12).standard_normal((P, 3))
+    tracemalloc.start()
+    try:
+        pairwise_sq_dists(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * P * P * 8
+
+
+def test_offset_sum_matches_double_loop():
+    rng = np.random.default_rng(13)
+    for n in (1, 3):
+        x = rng.standard_normal((6, n))
+        y = rng.standard_normal((4, n))
+        w = rng.standard_normal((6, 4))
+        expected = np.array([sum(w[i, j] * (x[i] - y[j]) for j in range(4)) for i in range(6)])
+        np.testing.assert_allclose(offset_sum(w, x, y), expected, rtol=1e-13, atol=1e-14)
 
 
 def test_kernel_conv_identity_point():
@@ -152,19 +197,35 @@ def test_quad_form_grad_antisymmetric_pair():
 
 
 def test_scalar_kernel_eval_and_symmetry():
-    assert scalar_kernel_eval(GAUSS, 1.3, 1.3) == pytest.approx(1.0)
-    assert scalar_kernel_eval(GAUSS, 0.2, 0.9) == pytest.approx(
-        scalar_kernel_eval(GAUSS, 0.9, 0.2)
-    )
+    # signals as an n = 1 point set, the way the varifold evaluates k_f
+    a = np.array([[1.3], [0.2], [0.9]])
+    K = radial_eval(GAUSS, pairwise_sq_dists(a, a))
+    np.testing.assert_array_equal(np.diag(K), 1.0)
+    np.testing.assert_array_equal(K, K.T)
+    for i in range(3):
+        for j in range(3):
+            assert K[i, j] == radial_eval(GAUSS, (a[i, 0] - a[j, 0]) ** 2)
 
 
 def test_scalar_kernel_grad_matches_fd():
+    # sum_j c_ij d/da_i k_f((a_i - b_j)^2) = offset_sum(2 k_f' c, a, b)
+    rng = np.random.default_rng(14)
+    a = np.array([[0.0], [1.2], [2.0]])
+    b = np.array([[0.5], [-0.3], [2.0], [0.1]])
+    c = rng.standard_normal((3, 4))
+    grad = offset_sum(2.0 * radial_deriv(GAUSS, pairwise_sq_dists(a, b)) * c, a, b)[:, 0]
     eps = 1e-7
-    for a, b in [(0.0, 0.5), (1.2, -0.3), (2.0, 2.0)]:
-        fd = (
-            scalar_kernel_eval(GAUSS, a + eps, b) - scalar_kernel_eval(GAUSS, a - eps, b)
-        ) / (2 * eps)
-        assert scalar_kernel_grad(GAUSS, a, b) == pytest.approx(fd, abs=1e-8)
+    for i in range(3):
+        fd = sum(
+            c[i, j]
+            * (
+                radial_eval(GAUSS, (a[i, 0] + eps - b[j, 0]) ** 2)
+                - radial_eval(GAUSS, (a[i, 0] - eps - b[j, 0]) ** 2)
+            )
+            / (2 * eps)
+            for j in range(4)
+        )
+        assert grad[i] == pytest.approx(fd, abs=1e-8)
 
 
 UNORIENTED = GrassmannKernelSpec("unoriented_squared")
@@ -177,66 +238,79 @@ def _unit(v):
     return v / np.linalg.norm(v)
 
 
+def _unit_rows(rng, count):
+    return np.array([_unit(rng.standard_normal(3)) for _ in range(count)])
+
+
+def _pair_kernel(spec, u, v):
+    """Reference frame kernel of one pair, from the mode's formula."""
+    dot = float(u @ v)
+    return {"unoriented_squared": dot**2, "oriented_linear": dot, "constant": 1.0}[spec.mode]
+
+
+def _pair_grad(spec, u, v):
+    """Reference d/du of the frame kernel, projected onto the tangent space at u."""
+    dot = float(u @ v)
+    raw = {"unoriented_squared": 2.0 * dot * v, "oriented_linear": v, "constant": 0.0 * v}
+    raw = raw[spec.mode]
+    return raw - float(raw @ u) * u
+
+
 def test_grassmann_eval_identical():
-    u = _unit([1.0, 2.0, -0.5])
-    assert grassmann_eval(UNORIENTED, u, u) == pytest.approx(1.0)
-    assert grassmann_eval(ORIENTED, u, u) == pytest.approx(1.0)
-    assert grassmann_eval(CONSTANT, u, u) == pytest.approx(1.0)
+    U = _unit_rows(np.random.default_rng(15), 4)
+    for spec in (UNORIENTED, ORIENTED, CONSTANT):
+        np.testing.assert_allclose(np.diag(grassmann_matrix(spec, U, U)), 1.0, rtol=1e-15)
 
 
 def test_grassmann_unoriented_flip_invariant():
-    u = _unit([1.0, 0.3, 0.0])
-    v = _unit([-0.2, 1.0, 0.7])
-    assert grassmann_eval(UNORIENTED, u, -v) == pytest.approx(
-        grassmann_eval(UNORIENTED, u, v)
+    rng = np.random.default_rng(16)
+    U = _unit_rows(rng, 3)
+    V = _unit_rows(rng, 4)
+    np.testing.assert_allclose(
+        grassmann_matrix(UNORIENTED, U, -V), grassmann_matrix(UNORIENTED, U, V), rtol=1e-15
     )
-
-
-def test_grassmann_rejects_non_unit():
-    with pytest.raises(ValueError):
-        grassmann_eval(UNORIENTED, np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("spec", [UNORIENTED, ORIENTED, CONSTANT])
 def test_grassmann_grad_tangent(spec):
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        u = _unit(rng.standard_normal(3))
-        v = _unit(rng.standard_normal(3))
-        g = grassmann_grad(spec, u, v)
-        assert abs(float(g @ u)) < 1e-12
+    U = _unit_rows(rng, 10)
+    V = _unit_rows(rng, 6)
+    G = grassmann_grad_sum(spec, U, V, rng.standard_normal((10, 6)))
+    assert np.abs(np.sum(G * U, axis=1)).max() < 1e-12
 
 
 def test_grassmann_grad_matches_projected_fd():
-    # FD of the kernel along tangent directions at u
+    # FD of the row's weighted kernel sum along tangent directions at U[i]
     rng = np.random.default_rng(6)
-    u = _unit(rng.standard_normal(3))
-    v = _unit(rng.standard_normal(3))
+    U = _unit_rows(rng, 3)
+    V = _unit_rows(rng, 4)
+    W = rng.standard_normal((3, 4))
+    eps = 1e-7
     for spec in (UNORIENTED, ORIENTED):
-        g = grassmann_grad(spec, u, v)
-        eps = 1e-7
-        for _ in range(4):
-            t = rng.standard_normal(3)
-            t -= (t @ u) * u  # tangent direction
-            up = _unit(u + eps * t)
-            um = _unit(u - eps * t)
-            fd = (grassmann_eval(spec, up, v) - grassmann_eval(spec, um, v)) / (2 * eps)
-            assert float(g @ t) == pytest.approx(fd, abs=1e-6)
+        G = grassmann_grad_sum(spec, U, V, W)
+        for i in range(3):
+            for _ in range(4):
+                t = rng.standard_normal(3)
+                t -= (t @ U[i]) * U[i]  # tangent direction
+                up = _unit(U[i] + eps * t)[None]
+                um = _unit(U[i] - eps * t)[None]
+                diff = grassmann_matrix(spec, up, V) - grassmann_matrix(spec, um, V)
+                fd = float(diff[0] @ W[i]) / (2 * eps)
+                assert float(G[i] @ t) == pytest.approx(fd, abs=1e-6)
 
 
 def test_grassmann_matrix_and_grad_sum_agree_with_pairwise():
     rng = np.random.default_rng(7)
-    U = np.array([_unit(rng.standard_normal(3)) for _ in range(4)])
-    V = np.array([_unit(rng.standard_normal(3)) for _ in range(5)])
+    U = _unit_rows(rng, 4)
+    V = _unit_rows(rng, 5)
     W = rng.standard_normal((4, 5))
     for spec in (UNORIENTED, ORIENTED, CONSTANT):
         M = grassmann_matrix(spec, U, V)
         for i in range(4):
             for j in range(5):
-                assert M[i, j] == pytest.approx(
-                    float(grassmann_eval(spec, U[i], V[j])), abs=1e-14
-                )
+                assert M[i, j] == pytest.approx(_pair_kernel(spec, U[i], V[j]), abs=1e-14)
         G = grassmann_grad_sum(spec, U, V, W)
         for i in range(4):
-            expected = sum(W[i, j] * grassmann_grad(spec, U[i], V[j]) for j in range(5))
+            expected = sum(W[i, j] * _pair_grad(spec, U[i], V[j]) for j in range(5))
             np.testing.assert_allclose(G[i], expected, atol=1e-13)

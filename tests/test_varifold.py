@@ -15,7 +15,7 @@ from metamorph import (
 )
 from metamorph import fshape
 from metamorph import varifold as varifold_module
-from metamorph.kernels import grassmann_eval, radial_eval
+from metamorph.kernels import radial_eval
 
 from conftest import triangle_strip
 
@@ -56,6 +56,14 @@ def test_to_varifold_scaling():
     np.testing.assert_allclose(v1.weights, lam**2 * v0.weights, rtol=1e-12)
 
 
+def test_varifold_rejects_non_unit_frame():
+    a = _dirac([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.5, 0.0)
+    frames = a.frames.copy()
+    frames[0, 2] += 1e-6
+    with pytest.raises(ValueError, match="unit vectors"):
+        DiscreteVarifold(a.centers, frames, a.weights, a.cell_signals)
+
+
 def test_inner_single_dirac_coincidence():
     a = _dirac([0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.37, 1.2)
     assert varifold_inner(a, a, K) == pytest.approx(0.37**2, rel=1e-14)
@@ -86,7 +94,7 @@ def test_inner_two_dirac_hand_sum():
             expected += (
                 radial_eval(K.kp, u2)
                 * radial_eval(K.kf, (both.cell_signals[i] - both.cell_signals[j]) ** 2)
-                * grassmann_eval(K.kt, both.frames[i], both.frames[j])
+                * float(both.frames[i] @ both.frames[j]) ** 2  # unoriented_squared
                 * both.weights[i]
                 * both.weights[j]
             )
@@ -104,7 +112,7 @@ def test_inner_brute_force_general():
             expected += (
                 radial_eval(K.kp, u2)
                 * radial_eval(K.kf, (a.cell_signals[i] - b.cell_signals[j]) ** 2)
-                * grassmann_eval(K.kt, a.frames[i], b.frames[j])
+                * float(a.frames[i] @ b.frames[j]) ** 2  # unoriented_squared
                 * a.weights[i]
                 * b.weights[j]
             )
