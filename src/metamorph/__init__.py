@@ -18,6 +18,7 @@ from .fshape import (
     AdjointState,
     CellGeometry,
     DiscreteFshape,
+    ShootingDiverged,
     ShootingState,
     cell_geometry,
     validate_fshape,
@@ -64,6 +65,7 @@ __all__ = [
     "MatchResult",
     "RadialKernelSpec",
     "ScaleStage",
+    "ShootingDiverged",
     "ShootingState",
     "SphereState",
     "Trajectory",

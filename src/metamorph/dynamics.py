@@ -8,9 +8,10 @@ momentum and functional momentum. The reduced Hamiltonian is
 
 with D(x) the signal-metric matrix. Geodesics follow the canonical equations;
 pf is a conserved quantity and is never integrated. H is quadratic in the
-momenta, so a shot's energy and its gradient in (p0, pf) follow from the
-initial velocity, which the trajectory keeps from its first flow-field
-evaluation. The fidelity's gradient is the exact
+momenta, so H at a sample is 1/2 <(p, pf), (dx, df)>, and a shot's energy
+and its gradient in (p0, pf) follow from the initial velocity. The
+trajectory keeps the velocity of every step's first flow-field evaluation.
+The fidelity's gradient is the exact
 discrete adjoint of the forward RK4 scheme: the forward pass records the stage
 points of every step, and the backward pass applies the transposed RK4 step
 at those same points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fem import FunctionalMetric, assemble_metric, metric_form_grad_x, solve_spd
-from .fshape import AdjointState, DiscreteFshape, ShootingState
+from .fshape import AdjointState, DiscreteFshape, ShootingDiverged, ShootingState
 from .kernels import RadialKernelSpec, kernel_conv, quad_form, quad_form_grad_x
 from .varifold import DiscreteVarifold, VarifoldKernels, grad_fidelity
 
@@ -62,19 +63,24 @@ class Trajectory:
     ``states[k]`` to ``states[k + 1]`` evaluated the flow field after its
     first stage (the first is ``states[k]`` itself). f does not enter the
     flow field and pf is constant, so (x, p) fixes each stage.
-    ``initial_velocity`` is (dx, df) at ``states[0]``, from the first
-    flow-field evaluation; ``energy`` is the geodesic energy computed from it.
+    ``velocities[k]`` is (dx, df) at ``states[k]``, the first stage of step
+    k, for k < n_steps; ``energy`` is the geodesic energy computed from
+    ``velocities[0]``.
     """
 
     states: tuple[ShootingState, ...]
     stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
-    initial_velocity: tuple[np.ndarray, np.ndarray]
+    velocities: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def hamiltonian(self, k: int) -> float:
+        """H at ``states[k]`` for k < n_steps, from its recorded velocity."""
+        # H is quadratic in (p, pf) and (dx, df) = dH/d(p, pf): H = 1/2 <(p, pf), (dx, df)>
+        (dx, df), s = self.velocities[k], self.states[k]
+        return 0.5 * (float(np.sum(s.p * dx)) + float(s.pf @ df))
 
     @property
     def energy(self) -> float:
-        # H is quadratic in (p, pf) and (dx, df) = dH/d(p, pf): H(0) = 1/2 <(p0, pf), (dx, df)(0)>
-        (dx0, df0), s = self.initial_velocity, self.initial
-        return 0.5 * (float(np.sum(s.p * dx0)) + float(s.pf @ df0))
+        return self.hamiltonian(0)
 
     @property
     def n_steps(self) -> int:
@@ -145,8 +151,9 @@ def integrate_forward(
 ) -> Trajectory:
     """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
 
-    The trajectory keeps every step's stage points for the adjoint, and the
-    initial velocity for the energy and its gradient.
+    The trajectory keeps every step's stage points for the adjoint, and each
+    step's first-stage velocity for the Hamiltonian, the energy and its
+    gradient.
     """
     dt = 1.0 / cfg.n_steps
     pf = state0.pf
@@ -155,10 +162,10 @@ def integrate_forward(
     p = state0.p.copy()
     states = [ShootingState(x=x, f=f, p=p, pf=pf)]
     stages = []
+    velocities = []
     for k in range(cfg.n_steps):
         ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
-        if k == 0:
-            initial_velocity = (ax1, af1)
+        velocities.append((ax1, af1))
         z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
         ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
         z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
@@ -171,10 +178,10 @@ def integrate_forward(
         if not (
             np.all(np.isfinite(x)) and np.all(np.isfinite(f)) and np.all(np.isfinite(p))
         ):
-            raise RuntimeError(f"non-finite state after step {k + 1} of {cfg.n_steps}")
+            raise ShootingDiverged(f"non-finite state after step {k + 1} of {cfg.n_steps}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         stages.append((z2, z3, z4))
-    return Trajectory(tuple(states), tuple(stages), initial_velocity)
+    return Trajectory(tuple(states), tuple(stages), tuple(velocities))
 
 
 def _vjp(
@@ -196,7 +203,7 @@ def _vjp(
     scale = max(np.abs(wx).max(), np.abs(wp).max(), np.abs(wpf).max())
     if scale == 0.0 or not np.isfinite(scale):
         if not np.isfinite(scale):
-            raise RuntimeError("non-finite adjoint state")
+            raise ShootingDiverged("non-finite adjoint state")
         zero = np.zeros_like
         return zero(Vx), zero(Vf), zero(Vp), zero(Vpf)
     state_mag = max(np.abs(x).max(), np.abs(p).max(), np.abs(pf).max())
@@ -238,7 +245,7 @@ def integrate_adjoint_backward(
         g1 = vjp_at((s.x, s.p), (dt / 6.0, lam), (dt / 2.0, g2))
         lam = tuple(a + sum(gs) for a, *gs in zip(lam, g1, g2, g3, g4))
         if not all(np.all(np.isfinite(b)) for b in lam):
-            raise RuntimeError(f"non-finite adjoint state at step {k + 1}")
+            raise ShootingDiverged(f"non-finite adjoint state at step {k + 1}")
     return AdjointState(X=lam[0], F=lam[1], Pvar=lam[2], Pf=lam[3])
 
 
@@ -269,5 +276,5 @@ def euclidean_objective_gradient(
         Pf=np.zeros_like(pf),
     )
     adj0 = integrate_adjoint_backward(trajectory, end, template, cfg)
-    dx0, df0 = trajectory.initial_velocity
+    dx0, df0 = trajectory.velocities[0]
     return dx0 + adj0.Pvar, df0 + adj0.Pf

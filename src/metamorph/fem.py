@@ -1,12 +1,23 @@
 """Finite-element signal metrics on polyhedral meshes.
 
 Assembles the sparse symmetric positive definite matrices behind the L2 and
-H1 signal norms (mass lumping, P1-exact mass, P1 stiffness), solves the
-associated linear systems with Jacobi-preconditioned conjugate gradients, and
-differentiates the quadratic form w.r.t. vertex positions. Every cell
-quantity (volumes, edges, volume gradients) is read from the fshape's one
-memoised ``cell_geometry`` record, so assembling D(x) and differentiating
-its form on the same fshape measure the cells once.
+H1 signal norms, solves the associated linear systems with
+Jacobi-preconditioned conjugate gradients, and differentiates the quadratic
+form w.r.t. vertex positions. Curves and surfaces share one formula, read
+from the volume gradients of the fshape's memoised ``cell_geometry`` record:
+G_i = d(vol)/d(x_i) = vol * grad(lambda_i), with lambda_i the barycentric
+coordinate of cell vertex i. On a cell with vertex values h_t,
+
+* the mass form is vol * h_t^T M h_t, with M the one reference matrix of
+  the scheme: (1 + delta_ij) / ((d+1)(d+2)) for P1, I / (d+1) for lumped
+  (assembled as the diagonal ``lumped_vertex_weights``). Its x-gradient at
+  vertex i is (h_t^T M h_t) G_i;
+* the stiffness form is vol * |g|^2, with g = sum_i h_i G_i / vol the
+  gradient of the P1 interpolant, so its local matrix is G G^T / vol (the
+  cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
+  x-gradient at vertex i is |g|^2 G_i - 2 (G_i . g) g.
+
+The H1 metric scatters the summed mass and stiffness locals once.
 """
 
 from __future__ import annotations
@@ -16,17 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .fshape import CellGeometry, DiscreteFshape, cell_geometry
+from .fshape import CellGeometry, DiscreteFshape, ShootingDiverged, cell_geometry
 
 SOLVER_RTOL = 1e-10
 
-# Local matrices of the edge-midpoint (P1-exact) mass quadrature.
-_MASS_LOCAL = {
-    1: np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0,
-    2: np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0,
-}
-# Maps vertex values to edge differences (f2-f1, f3-f1) on a triangle.
-_EDGE_DIFF = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+# Reference local matrices of the P1-exact mass: (1 + delta_ij) / ((d+1)(d+2)).
+_MASS_LOCAL = {d: (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2)) for d in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,6 @@ def lumped_vertex_weights(fs: DiscreteFshape) -> np.ndarray:
     return weights
 
 
-def assemble_mass_lumped(fs: DiscreteFshape) -> sparse.csr_matrix:
-    """Diagonal (lumped) L2 mass matrix."""
-    return sparse.diags(lumped_vertex_weights(fs)).tocsr()
-
-
 def _scatter_local(fs: DiscreteFshape, local: np.ndarray) -> sparse.csr_matrix:
     """Assemble per-cell (T, m, m) local matrices into a global sparse matrix."""
     m = fs.dim_d + 1
@@ -75,59 +76,30 @@ def _scatter_local(fs: DiscreteFshape, local: np.ndarray) -> sparse.csr_matrix:
     return A.tocsr()
 
 
-def assemble_mass_p1(fs: DiscreteFshape) -> sparse.csr_matrix:
-    """Consistent L2 mass matrix, exact on piecewise-linear interpolants."""
-    geom = cell_geometry(fs)
-    local = geom.volumes[:, None, None] * _MASS_LOCAL[fs.dim_d][None]
-    return _scatter_local(fs, local)
-
-
-def _edge_gram(geom: CellGeometry):
-    """Edge vectors and in-plane Gram data for triangle cells."""
-    e1 = geom.edges[:, 0]
-    e2 = geom.edges[:, 1]
-    g11 = np.einsum("ij,ij->i", e1, e1)
-    g12 = np.einsum("ij,ij->i", e1, e2)
-    g22 = np.einsum("ij,ij->i", e2, e2)
-    det = g11 * g22 - g12 * g12
-    return e1, e2, g11, g12, g22, det
+def _stiffness_local(geom: CellGeometry) -> np.ndarray:
+    """Per-cell P1 stiffness G G^T / vol, shape (T, d+1, d+1)."""
+    G = geom.volume_grads
+    return (G @ G.transpose(0, 2, 1)) / geom.volumes[:, None, None]
 
 
 def assemble_stiffness(fs: DiscreteFshape) -> sparse.csr_matrix:
     """Stiffness matrix of the cell-constant interpolant gradient.
 
     Quadratic form value: sum over cells of volume * |grad f_tilde|^2, with
-    the gradient taken in the plane of each cell.
+    the gradient taken in the tangent space of each cell.
     """
-    geom = cell_geometry(fs)
-    if fs.dim_d == 1:
-        inv = 1.0 / geom.volumes
-        local = inv[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])[None]
-        return _scatter_local(fs, local)
-    _, _, g11, g12, g22, det = _edge_gram(geom)
-    ginv = np.empty((fs.n_cells, 2, 2))
-    ginv[:, 0, 0] = g22
-    ginv[:, 1, 1] = g11
-    ginv[:, 0, 1] = -g12
-    ginv[:, 1, 0] = -g12
-    ginv /= det[:, None, None]
-    local = geom.volumes[:, None, None] * np.einsum(
-        "ia,tij,jb->tab", _EDGE_DIFF, ginv, _EDGE_DIFF
-    )
-    return _scatter_local(fs, local)
-
-
-def assemble_h1(fs: DiscreteFshape) -> sparse.csr_matrix:
-    """H1 metric matrix: P1-exact mass plus gradient stiffness."""
-    return (assemble_mass_p1(fs) + assemble_stiffness(fs)).tocsr()
+    return _scatter_local(fs, _stiffness_local(cell_geometry(fs)))
 
 
 def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> sparse.csr_matrix:
-    if metric.order == 1:
-        return assemble_h1(fs)
+    """The signal-metric matrix D(x): lumped or P1 mass, plus stiffness for H1."""
     if metric.scheme == "lumped":
-        return assemble_mass_lumped(fs)
-    return assemble_mass_p1(fs)
+        return sparse.diags(lumped_vertex_weights(fs)).tocsr()
+    geom = cell_geometry(fs)
+    local = geom.volumes[:, None, None] * _MASS_LOCAL[fs.dim_d]
+    if metric.order == 1:
+        local = local + _stiffness_local(geom)
+    return _scatter_local(fs, local)
 
 
 def quadratic_form(A: sparse.spmatrix, f: np.ndarray) -> float:
@@ -143,15 +115,16 @@ def solve_spd(
 ) -> np.ndarray:
     """Solve A h = rhs for SPD A by Jacobi-preconditioned conjugate gradients.
 
-    Converges when ||A h - rhs|| <= rtol * ||rhs||; raises RuntimeError with
-    the achieved residual if the iteration cap (default 10 * P) is exhausted.
+    Converges when ||A h - rhs|| <= rtol * ||rhs||. Raises ShootingDiverged
+    for a non-finite right-hand side, on breakdown, and with the achieved
+    residual if the iteration cap (default 10 * P) is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
     P = A.shape[0]
     if rhs.shape != (P,):
         raise ValueError(f"rhs shape {rhs.shape} != ({P},)")
     if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs contains non-finite entries")
+        raise ShootingDiverged("rhs contains non-finite entries")
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(P)
@@ -171,7 +144,7 @@ def solve_spd(
         pAp = p @ Ap
         if pAp <= 0 or not np.isfinite(pAp):
             achieved = np.linalg.norm(r) / b_norm
-            raise RuntimeError(
+            raise ShootingDiverged(
                 f"conjugate gradients broke down (matrix not SPD?); "
                 f"relative residual {achieved:.3e}"
             )
@@ -185,21 +158,10 @@ def solve_spd(
     achieved = np.linalg.norm(r) / b_norm
     if achieved <= rtol:
         return x
-    raise RuntimeError(
+    raise ShootingDiverged(
         f"conjugate gradients did not converge in {max_iters} iterations "
         f"(relative residual {achieved:.3e}, target {rtol:.1e})"
     )
-
-
-def _p1_mass_cell_form(fs: DiscreteFshape, hc: np.ndarray) -> np.ndarray:
-    """Per-cell value of the edge-midpoint mass form at the given values."""
-    if fs.dim_d == 1:
-        mid = 0.5 * (hc[:, 0] + hc[:, 1])
-        return (hc[:, 0] ** 2 + 4.0 * mid**2 + hc[:, 1] ** 2) / 6.0
-    m01 = 0.5 * (hc[:, 0] + hc[:, 1])
-    m12 = 0.5 * (hc[:, 1] + hc[:, 2])
-    m20 = 0.5 * (hc[:, 2] + hc[:, 0])
-    return (m01**2 + m12**2 + m20**2) / 3.0
 
 
 def metric_form_grad_x(
@@ -207,44 +169,23 @@ def metric_form_grad_x(
 ) -> np.ndarray:
     """Gradient of h^T D(x) h w.r.t. all vertex positions, for fixed h.
 
-    Assembled cell by cell from the volume gradients and, for order 1, the
-    derivative of the in-plane interpolant gradient.
+    Per cell: (h_t^T M h_t) G_i for the mass, plus |g|^2 G_i - 2 (G_i . g) g
+    for the H1 stiffness; see the module docstring.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (fs.n_vertices,):
         raise ValueError(f"h shape {h.shape} != ({fs.n_vertices},)")
     geom = cell_geometry(fs)
-    vol_grads = geom.volume_grads
+    G = geom.volume_grads
     hc = h[fs.cells]
-    if metric.scheme == "lumped" and metric.order == 0:
-        cell_form = (hc**2).sum(axis=1) / (fs.dim_d + 1)
-    else:
-        cell_form = _p1_mass_cell_form(fs, hc)
+    d = fs.dim_d
+    M = np.eye(d + 1) / (d + 1) if metric.scheme == "lumped" else _MASS_LOCAL[d]
+    contrib = np.einsum("ti,ij,tj->t", hc, M, hc)[:, None, None] * G
+    if metric.order == 1:
+        g = np.einsum("ti,tin->tn", hc, G) / geom.volumes[:, None]
+        Gg = np.einsum("tin,tn->ti", G, g)
+        contrib += np.einsum("tn,tn->t", g, g)[:, None, None] * G
+        contrib -= 2.0 * Gg[:, :, None] * g[:, None, :]
     grad = np.zeros_like(fs.vertices)
-    np.add.at(grad, fs.cells, cell_form[:, None, None] * vol_grads)
-    if metric.order == 0:
-        return grad
-    # Stiffness part: d( volume * |grad h_tilde|^2 ).
-    if fs.dim_d == 1:
-        delta = hc[:, 1] - hc[:, 0]
-        sq = (delta / geom.volumes) ** 2
-        # d(delta^2 / L) = -(delta/L)^2 dL
-        contrib = -sq[:, None, None] * vol_grads
-        np.add.at(grad, fs.cells, contrib)
-        return grad
-    e1, e2, g11, g12, g22, det = _edge_gram(geom)
-    d1 = hc[:, 1] - hc[:, 0]
-    d2 = hc[:, 2] - hc[:, 0]
-    b1 = (g22 * d1 - g12 * d2) / det
-    b2 = (-g12 * d1 + g11 * d2) / det
-    gvec = b1[:, None] * e1 + b2[:, None] * e2  # the interpolant gradient
-    grad_sq = d1 * b1 + d2 * b2  # |grad h_tilde|^2
-    contrib = np.zeros_like(vol_grads)
-    contrib += grad_sq[:, None, None] * vol_grads
-    # volume * d(|grad|^2) = -2 volume * (de1 . b1 g + de2 . b2 g)
-    r2 = 2.0 * geom.volumes
-    contrib[:, 1] -= (r2 * b1)[:, None] * gvec
-    contrib[:, 2] -= (r2 * b2)[:, None] * gvec
-    contrib[:, 0] += (r2 * (b1 + b2))[:, None] * gvec
     np.add.at(grad, fs.cells, contrib)
     return grad

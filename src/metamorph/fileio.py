@@ -45,6 +45,17 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % x
 
 
+def _count(token: str, where: str) -> int:
+    """A nonnegative integer read from a header field."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise UserError(f"{where}: expected a nonnegative integer, got {token!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # native .fsh format
 
@@ -56,10 +67,7 @@ def _read_fsh(path: Path) -> DiscreteFshape:
     header = lines[0].split()
     if len(header) != 5 or header[0] != "fshape":
         raise UserError(f"{path}:1: expected header 'fshape d n P T'")
-    try:
-        d, n, P, T = (int(tok) for tok in header[1:])
-    except ValueError:
-        raise UserError(f"{path}:1: non-integer header fields") from None
+    d, n, P, T = (_count(tok, f"{path}:1") for tok in header[1:])
     if len(lines) < 1 + P + T:
         raise UserError(f"{path}: expected {1 + P + T} lines, found {len(lines)}")
     vertices = np.zeros((P, n))
@@ -119,6 +127,8 @@ def _read_ply(path: Path) -> DiscreteFshape:
         idx += 1
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < {"format": 2, "element": 3, "property": 3}.get(parts[0], 0):
+            raise UserError(f"{path}:{idx}: incomplete {parts[0]} line")
         if parts[0] == "format":
             if parts[1] != "ascii":
                 raise UserError(f"{path}:{idx}: only ascii PLY is supported")
@@ -126,9 +136,9 @@ def _read_ply(path: Path) -> DiscreteFshape:
         elif parts[0] == "element":
             element = parts[1]
             if element == "vertex":
-                n_vertices = int(parts[2])
+                n_vertices = _count(parts[2], f"{path}:{idx}")
             elif element == "face":
-                n_faces = int(parts[2])
+                n_faces = _count(parts[2], f"{path}:{idx}")
             else:
                 raise UserError(f"{path}:{idx}: unsupported element type '{element}'")
         elif parts[0] == "property":
@@ -147,6 +157,11 @@ def _read_ply(path: Path) -> DiscreteFshape:
     for axis in ("x", "y", "z"):
         if axis not in vertex_props:
             raise UserError(f"{path}: vertex property '{axis}' missing")
+    if idx + n_vertices + n_faces > len(lines):
+        raise UserError(
+            f"{path}: header declares {n_vertices} vertices and {n_faces} faces, "
+            f"but {len(lines) - idx} data lines follow"
+        )
     has_signal = "signal" in vertex_props
     if not has_signal:
         warnings.warn(f"{path}: no 'signal' vertex property, defaulting to 0")
@@ -156,8 +171,6 @@ def _read_ply(path: Path) -> DiscreteFshape:
     signals = np.zeros(n_vertices)
     for k in range(n_vertices):
         lineno = idx + k + 1
-        if idx + k >= len(lines):
-            raise UserError(f"{path}: truncated vertex data")
         parts = lines[idx + k].split()
         if len(parts) != len(vertex_props):
             raise UserError(f"{path}:{lineno}: expected {len(vertex_props)} vertex values")
@@ -172,8 +185,6 @@ def _read_ply(path: Path) -> DiscreteFshape:
     base = idx + n_vertices
     for k in range(n_faces):
         lineno = base + k + 1
-        if base + k >= len(lines):
-            raise UserError(f"{path}: truncated face data")
         parts = lines[base + k].split()
         try:
             count = int(parts[0])
@@ -181,7 +192,10 @@ def _read_ply(path: Path) -> DiscreteFshape:
             raise UserError(f"{path}:{lineno}: malformed face line") from None
         if count != 3 or len(parts) != 4:
             raise UserError(f"{path}:{lineno}: only triangle faces are supported")
-        faces[k] = [int(tok) for tok in parts[1:]]
+        try:
+            faces[k] = [int(tok) for tok in parts[1:]]
+        except ValueError:
+            raise UserError(f"{path}:{lineno}: malformed face index") from None
     _check_indices(path, faces, n_vertices)
     try:
         return DiscreteFshape(vertices=vertices, signals=signals, cells=faces)
@@ -236,11 +250,13 @@ def _read_off(path: Path) -> DiscreteFshape:
         pos += count
         return out
 
-    try:
-        counts = [int(tok) for _, tok in take(3, "counts")]
-    except ValueError:
-        raise UserError(f"{path}: malformed vertex/face counts") from None
-    n_vertices, n_faces = counts[0], counts[1]
+    counts = take(3, "counts")
+    n_vertices, n_faces, _ = (_count(tok, f"{path}:{lineno}") for lineno, tok in counts)
+    if pos + 3 * n_vertices + 4 * n_faces > len(tokens):
+        raise UserError(
+            f"{path}: counts declare {n_vertices} vertices and {n_faces} triangles, "
+            f"but {len(tokens) - pos} values follow"
+        )
     vertices = np.zeros((n_vertices, 3))
     for k in range(n_vertices):
         chunk = take(3, f"vertex {k}")
@@ -398,7 +414,9 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
     """Write one VTK PolyData file per time sample plus an index CSV.
 
     The CSV lists, per sample: time, reduced Hamiltonian, total d-volume, and
-    the signal range.
+    the signal range. The Hamiltonian comes from the velocities the forward
+    pass recorded; only the last sample, where the flow field was never
+    evaluated, calls ``reduced_hamiltonian``.
     """
     from .dynamics import reduced_hamiltonian
     from .fshape import cell_geometry
@@ -410,7 +428,10 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
     for k, state in enumerate(traj.states):
         fs_k = template.with_(vertices=state.x, signals=state.f)
         _write_vtk(out_dir / f"state_{k:04d}.vtk", fs_k)
-        H = reduced_hamiltonian(state, template, cfg)
+        if k < traj.n_steps:
+            H = traj.hamiltonian(k)
+        else:
+            H = reduced_hamiltonian(state, template, cfg)
         volume = float(cell_geometry(fs_k).volumes.sum())
         rows.append(
             ",".join(

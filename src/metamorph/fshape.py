@@ -27,6 +27,15 @@ DEGENERATE_VOLUME_RTOL = 1e-12
 _VALID_DIMS = {(1, 2), (1, 3), (2, 3)}
 
 
+class ShootingDiverged(ValueError, RuntimeError):
+    """A shot left the domain where the flow is defined: a degenerate cell,
+    a non-finite state or adjoint, or a signal-metric solve that failed.
+
+    Subclasses both ValueError and RuntimeError, so a caller that catches
+    either still catches it; the line search of ``match`` catches only this.
+    """
+
+
 def _frozen(a, dtype=np.float64) -> np.ndarray:
     """Return a read-only C-contiguous array; shares already-frozen inputs."""
     arr = np.asarray(a, dtype=dtype)
@@ -248,7 +257,7 @@ def cell_geometry(fs: DiscreteFshape) -> CellGeometry:
 
     Raises
     ------
-    ValueError
+    ShootingDiverged
         If any cell is degenerate (names the first offending cell).
     """
     geom = fs.__dict__.get("_geometry")
@@ -261,7 +270,7 @@ def cell_geometry(fs: DiscreteFshape) -> CellGeometry:
 def _compute_geometry(fs: DiscreteFshape) -> CellGeometry:
     pts, edges, raw, volumes, bad = _measure(fs)
     if bad.size:
-        raise ValueError(f"cell {bad[0]} is degenerate (d-volume {volumes[bad[0]]:g})")
+        raise ShootingDiverged(f"cell {bad[0]} is degenerate (d-volume {volumes[bad[0]]:g})")
     frames = raw / (fs.dim_d * volumes)[:, None]
     volume_grads = np.zeros((fs.n_cells, fs.dim_d + 1, fs.dim_n))
     if fs.dim_d == 1:

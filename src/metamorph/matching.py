@@ -37,7 +37,7 @@ from .dynamics import (
     integrate_forward,
 )
 from .fem import FunctionalMetric, assemble_metric
-from .fshape import DiscreteFshape, ShootingState
+from .fshape import DiscreteFshape, ShootingDiverged, ShootingState
 from .kernels import GrassmannKernelSpec, RadialKernelSpec, gaussian
 from .varifold import VarifoldKernels, fidelity, to_varifold
 
@@ -214,8 +214,7 @@ def match(
                 cand_pf = pf - step * gpf
                 try:
                     Jc, ec, fc, tc = objective(cand_p0, cand_pf, problem)
-                except (ValueError, RuntimeError):
-                    # blown-up candidate (degenerate cells, solver failure)
+                except ShootingDiverged:
                     Jc = np.inf
                 if np.isfinite(Jc) and Jc < J:
                     p0, pf, traj = cand_p0, cand_pf, tc

@@ -30,13 +30,7 @@ from metamorph import (
     to_varifold,
 )
 from metamorph.dynamics import euclidean_objective_gradient
-from metamorph.fem import (
-    assemble_h1,
-    assemble_mass_lumped,
-    assemble_mass_p1,
-    assemble_stiffness,
-    quadratic_form,
-)
+from metamorph.fem import assemble_stiffness, quadratic_form
 from metamorph.matching import ScaleStage
 from metamorph.meshes import bump_signal, grid_square, icosphere
 from metamorph.sphere import mean_radius, sphere_vertex_momenta
@@ -275,11 +269,11 @@ def test_criterion_6_time_reversal():
 def test_criterion_7_fem_exactness():
     L = 2.0
     seg = DiscreteFshape([[0.0, 0, 0], [L, 0, 0]], [0.0, 1.0], [[0, 1]])
-    seg_val = quadratic_form(assemble_mass_p1(seg), seg.signals)
+    seg_val = quadratic_form(assemble_metric(seg, FunctionalMetric(0, "p1")), seg.signals)
     tri = DiscreteFshape(
         [[0.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]], [1.0, 0.0, 0.0], [[0, 1, 2]]
     )
-    tri_val = quadratic_form(assemble_mass_p1(tri), tri.signals)
+    tri_val = quadratic_form(assemble_metric(tri, FunctionalMetric(0, "p1")), tri.signals)
     ok = abs(seg_val - L / 3.0) < 1e-14 and abs(tri_val - 0.5 / 6.0) < 1e-14
     # constants give c^2 * volume for every scheme
     fs = triangle_strip(6, seed=7)
@@ -297,8 +291,8 @@ def test_criterion_7_fem_exactness():
         ok = ok and abs(value - c**2 * vol) < 1e-12 * max(1.0, vol)
     # H1 dominates the P1 mass form
     rng = np.random.default_rng(8)
-    D1 = assemble_h1(fs)
-    D0 = assemble_mass_p1(fs)
+    D1 = assemble_metric(fs, FunctionalMetric(1, "p1"))
+    D0 = assemble_metric(fs, FunctionalMetric(0, "p1"))
     for _ in range(20):
         f = rng.standard_normal(fs.n_vertices)
         ok = ok and quadratic_form(D1, f) >= quadratic_form(D0, f) - 1e-12
@@ -389,7 +383,7 @@ def test_criterion_9_digits_weight_sweep():
     tgt = grid_square(20)
     src = src.with_(signals=bump_signal(src, (-0.3, -0.3, 0.0), 0.35))
     tgt = tgt.with_(signals=bump_signal(tgt, (0.3, 0.3, 0.0), 0.35))
-    D0 = assemble_mass_lumped(src)
+    D0 = assemble_metric(src, FunctionalMetric(0, "lumped"))
     signal_changes = []
     reductions = []
     for gamma_V in (1.0, 20.0, 100.0):

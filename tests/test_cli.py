@@ -321,6 +321,35 @@ def _shoot_args(src_path, config_path, tmp_path, pf=None):
     ]
 
 
+_PLY_HEAD = "ply\nformat ascii 1.0\n"
+_PLY_PROPS = (
+    "property float x\nproperty float y\nproperty float z\nproperty float signal\n"
+    "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+)
+_PLY_BODY = "0 0 0 0\n1 0 0 0\n0 1 0 0\n"
+
+
+_MALFORMED_MESHES = {
+    "count.ply": _PLY_HEAD + "element vertex abc\n" + _PLY_PROPS + _PLY_BODY + "3 0 1 2\n",
+    "face.ply": _PLY_HEAD + "element vertex 3\n" + _PLY_PROPS + _PLY_BODY + "3 0 1 x\n",
+    "format.ply": "ply\nformat\nelement vertex 3\n" + _PLY_PROPS + _PLY_BODY + "3 0 1 2\n",
+    "huge.ply": _PLY_HEAD + "element vertex 10000000000000\n" + _PLY_PROPS + _PLY_BODY,
+    "huge.off": "OFF\n10000000000000 1 0\n0 0 0\n",
+    "property.ply": _PLY_HEAD + "element vertex 3\nproperty\n" + _PLY_PROPS + _PLY_BODY + "3 0 1 2\n",
+    "negative.fsh": "fshape 2 3 -1 1\n0 1 2\n",
+    "negative.off": "OFF\n-3 1 0\n3 0 1 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_MESHES))
+def test_malformed_mesh_is_user_error(name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(_MALFORMED_MESHES[name])
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "internal error" not in err
+
+
 def test_validate_reports_non_finite_vertex(tmp_path, capsys):
     path = tmp_path / "nan.fsh"
     path.write_text("fshape 2 3 3 1\n0 0 0 0\nnan 0 0 0\n0 1 0 0\n0 1 2\n")

@@ -10,22 +10,14 @@ from metamorph import (
     lumped_vertex_weights,
     metric_form_grad_x,
 )
-from metamorph.fem import (
-    assemble_h1,
-    assemble_mass_lumped,
-    assemble_mass_p1,
-    assemble_stiffness,
-    quadratic_form,
-    solve_spd,
-)
+from metamorph.fem import assemble_stiffness, quadratic_form, solve_spd
 
 from conftest import jittered_grid, triangle_strip
 
-ALL_METRICS = [
-    FunctionalMetric(0, "lumped"),
-    FunctionalMetric(0, "p1"),
-    FunctionalMetric(1, "p1"),
-]
+L2_LUMPED = FunctionalMetric(0, "lumped")
+L2_P1 = FunctionalMetric(0, "p1")
+H1 = FunctionalMetric(1, "p1")
+ALL_METRICS = [L2_LUMPED, L2_P1, H1]
 
 
 def test_metric_validation():
@@ -36,12 +28,12 @@ def test_metric_validation():
 
 
 def test_lumped_unit_triangle(unit_triangle):
-    D = assemble_mass_lumped(unit_triangle)
+    D = assemble_metric(unit_triangle, L2_LUMPED)
     np.testing.assert_allclose(D.diagonal(), np.full(3, 1.0 / 6.0), rtol=1e-15)
 
 
 def test_lumped_segment(segment):
-    D = assemble_mass_lumped(segment)
+    D = assemble_metric(segment, L2_LUMPED)
     np.testing.assert_allclose(D.diagonal(), np.full(2, 1.0), rtol=1e-15)
 
 
@@ -65,7 +57,7 @@ def test_p1_segment_linear_interpolant():
     fs = DiscreteFshape(
         vertices=[[0.0, 0, 0], [L, 0, 0]], signals=[0.0, 1.0], cells=[[0, 1]]
     )
-    D = assemble_mass_p1(fs)
+    D = assemble_metric(fs, L2_P1)
     assert quadratic_form(D, fs.signals) == pytest.approx(L / 3.0, abs=1e-14)
 
 
@@ -91,7 +83,7 @@ def test_p1_triangle_single_vertex():
             total += f * f
             count += 1
     quad_oracle = total / count * r
-    D = assemble_mass_p1(fs)
+    D = assemble_metric(fs, L2_P1)
     value = quadratic_form(D, fs.signals)
     assert value == pytest.approx(r / 6.0, abs=1e-14)
     assert value == pytest.approx(quad_oracle, rel=5e-3)
@@ -102,7 +94,7 @@ def test_h1_segment():
     fs = DiscreteFshape(
         vertices=[[0.0, 0, 0], [L, 0, 0]], signals=[0.0, 1.0], cells=[[0, 1]]
     )
-    assert quadratic_form(assemble_h1(fs), fs.signals) == pytest.approx(
+    assert quadratic_form(assemble_metric(fs, H1), fs.signals) == pytest.approx(
         L / 3.0 + 1.0 / L, abs=1e-14
     )
 
@@ -120,8 +112,8 @@ def test_stiffness_unit_right_triangle():
 def test_h1_constant_equals_l2():
     fs = triangle_strip(5, seed=1)
     f = np.full(fs.n_vertices, -0.8)
-    assert quadratic_form(assemble_h1(fs), f) == pytest.approx(
-        quadratic_form(assemble_mass_p1(fs), f), rel=1e-13
+    assert quadratic_form(assemble_metric(fs, H1), f) == pytest.approx(
+        quadratic_form(assemble_metric(fs, L2_P1), f), rel=1e-13
     )
 
 
@@ -137,8 +129,8 @@ def test_spd_rayleigh(metric):
 
 def test_h1_dominates_mass():
     fs = jittered_grid(4)
-    D1 = assemble_h1(fs)
-    D0 = assemble_mass_p1(fs)
+    D1 = assemble_metric(fs, H1)
+    D0 = assemble_metric(fs, L2_P1)
     rng = np.random.default_rng(5)
     for _ in range(20):
         f = rng.standard_normal(fs.n_vertices)
@@ -176,7 +168,7 @@ def test_refinement_consistency():
 
 def test_solve_diagonal_is_division():
     fs = triangle_strip(4, seed=8)
-    D = assemble_mass_lumped(fs)
+    D = assemble_metric(fs, L2_LUMPED)
     rhs = np.arange(1.0, fs.n_vertices + 1.0)
     h = solve_spd(D, rhs)
     np.testing.assert_allclose(h, rhs / D.diagonal(), rtol=1e-12)
@@ -184,7 +176,7 @@ def test_solve_diagonal_is_division():
 
 def test_solve_round_trip():
     fs = jittered_grid(9)
-    D = assemble_h1(fs)
+    D = assemble_metric(fs, H1)
     rng = np.random.default_rng(10)
     h0 = rng.standard_normal(fs.n_vertices)
     h = solve_spd(D, D @ h0)
@@ -193,13 +185,13 @@ def test_solve_round_trip():
 
 def test_solve_zero_rhs():
     fs = triangle_strip(4, seed=11)
-    D = assemble_h1(fs)
+    D = assemble_metric(fs, H1)
     np.testing.assert_array_equal(solve_spd(D, np.zeros(fs.n_vertices)), 0.0)
 
 
 def test_solve_residual_contract():
     fs = jittered_grid(12)
-    D = assemble_h1(fs)
+    D = assemble_metric(fs, H1)
     rng = np.random.default_rng(13)
     rhs = rng.standard_normal(fs.n_vertices)
     h = solve_spd(D, rhs)
@@ -216,7 +208,7 @@ def test_solve_iteration_cap_error():
 def test_lumped_weights_match_matrix():
     fs = jittered_grid(14)
     np.testing.assert_allclose(
-        lumped_vertex_weights(fs), assemble_mass_lumped(fs).diagonal(), rtol=1e-15
+        lumped_vertex_weights(fs), assemble_metric(fs, L2_LUMPED).diagonal(), rtol=1e-15
     )
 
 
@@ -260,27 +252,148 @@ def test_metric_form_grad_translation_invariant(metric):
         assert abs(grad[:, axis].sum()) < 1e-10 * max(1.0, np.abs(grad).max())
 
 
-@pytest.mark.parametrize("metric", ALL_METRICS)
-def test_metric_form_grad_d1(metric):
-    rng = np.random.default_rng(20)
-    pts = np.cumsum(0.3 + rng.random((6, 3)), axis=0)
+def _polyline(dim_n, seed, n_vertices=6):
+    """Open polyline in R^dim_n with random steps and signals, and a random h."""
+    rng = np.random.default_rng(seed)
+    pts = np.cumsum(0.3 + rng.random((n_vertices, dim_n)), axis=0)
     fs = DiscreteFshape(
         vertices=pts,
-        signals=rng.standard_normal(6),
-        cells=np.column_stack([np.arange(5), np.arange(1, 6)]),
+        signals=rng.standard_normal(n_vertices),
+        cells=np.column_stack([np.arange(n_vertices - 1), np.arange(1, n_vertices)]),
     )
-    h = rng.standard_normal(6)
-    grad = metric_form_grad_x(fs, metric, h)
-    eps = 1e-6
-    fd = np.zeros_like(grad)
-    for i in range(6):
-        for j in range(3):
-            vp = fs.vertices.copy()
-            vm = fs.vertices.copy()
-            vp[i, j] += eps
-            vm[i, j] -= eps
-            fd[i, j] = (
-                quadratic_form(assemble_metric(fs.with_(vertices=vp), metric), h)
-                - quadratic_form(assemble_metric(fs.with_(vertices=vm), metric), h)
-            ) / (2 * eps)
-    assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-6
+    return fs, rng.standard_normal(n_vertices)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_metric_form_grad_d1(metric):
+    for dim_n in (3, 2):
+        fs, h = _polyline(dim_n, seed=20)
+        grad = metric_form_grad_x(fs, metric, h)
+        eps = 1e-6
+        fd = np.zeros_like(grad)
+        for i in range(fs.n_vertices):
+            for j in range(dim_n):
+                vp = fs.vertices.copy()
+                vm = fs.vertices.copy()
+                vp[i, j] += eps
+                vm[i, j] -= eps
+                fd[i, j] = (
+                    quadratic_form(assemble_metric(fs.with_(vertices=vp), metric), h)
+                    - quadratic_form(assemble_metric(fs.with_(vertices=vm), metric), h)
+                ) / (2 * eps)
+        assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-6
+
+
+# Reference formulas written per dimension: the Gram-inverse stiffness for
+# triangles, 1/L for segments, and the edge-midpoint quadrature of the P1
+# mass. fem writes all of these as one formula of the volume gradients.
+
+_EDGE_DIFF = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+
+
+def _edge_gram(fs):
+    edges = cell_geometry(fs).edges
+    e1, e2 = edges[:, 0], edges[:, 1]
+    g11 = np.einsum("ij,ij->i", e1, e1)
+    g12 = np.einsum("ij,ij->i", e1, e2)
+    g22 = np.einsum("ij,ij->i", e2, e2)
+    return e1, e2, g11, g12, g22, g11 * g22 - g12 * g12
+
+
+def _reference_stiffness(fs):
+    vol = cell_geometry(fs).volumes
+    if fs.dim_d == 1:
+        local = np.array([[1.0, -1.0], [-1.0, 1.0]])[None] / vol[:, None, None]
+    else:
+        _, _, g11, g12, g22, det = _edge_gram(fs)
+        ginv = np.stack([np.stack([g22, -g12], -1), np.stack([-g12, g11], -1)], -2)
+        ginv /= det[:, None, None]
+        local = vol[:, None, None] * np.einsum("ia,tij,jb->tab", _EDGE_DIFF, ginv, _EDGE_DIFF)
+    m = fs.dim_d + 1
+    rows = np.repeat(fs.cells, m, axis=1).ravel()
+    cols = np.tile(fs.cells, (1, m)).ravel()
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(fs.n_vertices,) * 2).tocsr()
+
+
+def _reference_mass_cell_form(fs, hc):
+    """Per-cell edge-midpoint quadrature of the squared P1 interpolant / volume."""
+    if fs.dim_d == 1:
+        mid = 0.5 * (hc[:, 0] + hc[:, 1])
+        return (hc[:, 0] ** 2 + 4.0 * mid**2 + hc[:, 1] ** 2) / 6.0
+    m01 = 0.5 * (hc[:, 0] + hc[:, 1])
+    m12 = 0.5 * (hc[:, 1] + hc[:, 2])
+    m20 = 0.5 * (hc[:, 2] + hc[:, 0])
+    return (m01**2 + m12**2 + m20**2) / 3.0
+
+
+def _reference_form(fs, metric, h):
+    hc = h[fs.cells]
+    if metric.scheme == "lumped":
+        cell_form = (hc**2).sum(axis=1) / (fs.dim_d + 1)
+    else:
+        cell_form = _reference_mass_cell_form(fs, hc)
+    value = float(cell_geometry(fs).volumes @ cell_form)
+    if metric.order == 1:
+        value += quadratic_form(_reference_stiffness(fs), h)
+    return value
+
+
+def _reference_form_grad(fs, metric, h):
+    """x-gradient of the reference form: mass through the volume gradients,
+    stiffness through the derivative of the Gram inverse (triangles) or of
+    delta^2 / L (segments)."""
+    geom = cell_geometry(fs)
+    vol_grads = geom.volume_grads
+    hc = h[fs.cells]
+    if metric.scheme == "lumped":
+        cell_form = (hc**2).sum(axis=1) / (fs.dim_d + 1)
+    else:
+        cell_form = _reference_mass_cell_form(fs, hc)
+    contrib = cell_form[:, None, None] * vol_grads
+    if metric.order == 1 and fs.dim_d == 1:
+        delta = hc[:, 1] - hc[:, 0]
+        contrib -= ((delta / geom.volumes) ** 2)[:, None, None] * vol_grads
+    elif metric.order == 1:
+        e1, e2, g11, g12, g22, det = _edge_gram(fs)
+        d1 = hc[:, 1] - hc[:, 0]
+        d2 = hc[:, 2] - hc[:, 0]
+        b1 = (g22 * d1 - g12 * d2) / det
+        b2 = (-g12 * d1 + g11 * d2) / det
+        gvec = b1[:, None] * e1 + b2[:, None] * e2
+        contrib += (d1 * b1 + d2 * b2)[:, None, None] * vol_grads
+        r2 = 2.0 * geom.volumes
+        contrib[:, 1] -= (r2 * b1)[:, None] * gvec
+        contrib[:, 2] -= (r2 * b2)[:, None] * gvec
+        contrib[:, 0] += (r2 * (b1 + b2))[:, None] * gvec
+    grad = np.zeros_like(fs.vertices)
+    np.add.at(grad, fs.cells, contrib)
+    return grad
+
+
+REFERENCE_MESHES = {
+    "polyline_R2": lambda: _polyline(2, seed=30, n_vertices=12)[0],
+    "polyline_R3": lambda: _polyline(3, seed=31, n_vertices=12)[0],
+    "triangles": lambda: jittered_grid(2),
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(REFERENCE_MESHES))
+def test_stiffness_matches_reference(mesh):
+    fs = REFERENCE_MESHES[mesh]()
+    K = assemble_stiffness(fs).toarray()
+    ref = _reference_stiffness(fs).toarray()
+    assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+@pytest.mark.parametrize("mesh", sorted(REFERENCE_MESHES))
+def test_metric_and_form_grad_match_reference(mesh, metric):
+    fs = REFERENCE_MESHES[mesh]()
+    D = assemble_metric(fs, metric)
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        h = rng.standard_normal(fs.n_vertices)
+        assert quadratic_form(D, h) == pytest.approx(_reference_form(fs, metric, h), rel=1e-13)
+        grad = metric_form_grad_x(fs, metric, h)
+        ref = _reference_form_grad(fs, metric, h)
+        assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -84,8 +84,9 @@ def test_ply_rejects_quads(tmp_path):
         "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
         "0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
     )
-    with pytest.raises(UserError, match="triangle"):
-        read_fshape(path)
+    with pytest.warns(UserWarning, match="no 'signal' vertex property"):
+        with pytest.raises(UserError, match="triangle"):
+            read_fshape(path)
 
 
 def test_off_one_based_rejected(tmp_path):
@@ -200,6 +201,51 @@ def test_write_trajectory_hamiltonian_column_constant(tmp_path):
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     hvals = np.array([float(r.split(",")[1]) for r in rows])
     assert np.abs(hvals - hvals[0]).max() / abs(hvals[0]) < 1e-6
+
+
+def _h1_shot(n_steps=6):
+    from metamorph import FunctionalMetric, RadialKernelSpec
+
+    fs = triangle_strip(6, seed=5)
+    cfg = DynamicsConfig(
+        1.0,
+        0.5,
+        RadialKernelSpec("gaussian", ((1.0, 0.5),)),
+        FunctionalMetric(1, "p1"),
+        n_steps=n_steps,
+    )
+    rng = np.random.default_rng(6)
+    state0 = ShootingState(
+        fs.vertices,
+        fs.signals,
+        0.3 * rng.standard_normal(fs.vertices.shape),
+        0.3 * rng.standard_normal(fs.n_vertices),
+    )
+    return fs, cfg, integrate_forward(state0, fs, cfg)
+
+
+def test_write_trajectory_hamiltonian_column_equals_reduced_hamiltonian(tmp_path):
+    from metamorph import reduced_hamiltonian
+
+    fs, cfg, traj = _h1_shot()
+    write_trajectory(tmp_path / "geo", fs, traj, cfg)
+    rows = (tmp_path / "geo" / "trajectory.csv").read_text().splitlines()[1:]
+    hvals = np.array([float(r.split(",")[1]) for r in rows])
+    expected = np.array([reduced_hamiltonian(s, fs, cfg) for s in traj.states])
+    np.testing.assert_allclose(hvals, expected, rtol=1e-12, atol=0.0)
+
+
+def test_write_trajectory_assembles_one_metric(tmp_path, monkeypatch):
+    import metamorph.dynamics as dynamics
+
+    fs, cfg, traj = _h1_shot()
+    calls = []
+    original = dynamics.assemble_metric
+    monkeypatch.setattr(
+        dynamics, "assemble_metric", lambda *a: calls.append(1) or original(*a)
+    )
+    write_trajectory(tmp_path / "geo", fs, traj, cfg)
+    assert len(calls) == 1
 
 
 def test_config_round_trip_and_unknown_keys(tmp_path):

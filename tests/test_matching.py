@@ -9,6 +9,8 @@ from metamorph import (
     MatchConfig,
     MatchProblem,
     RadialKernelSpec,
+    ShootingDiverged,
+    ShootingState,
     VarifoldKernels,
     fidelity,
     match,
@@ -208,6 +210,60 @@ def test_match_shoots_each_momenta_once(monkeypatch):
     result = match(src, tgt, cfg)
     assert result.objective_history[-1][0] == 8
     assert len(shots) == len(set(shots))
+
+
+def _patch_first_candidate(monkeypatch, broken_shot):
+    """Route match's shots through a wrapper whose first candidate (the
+    second shot; the first is the opening shot at zero momenta) runs
+    broken_shot instead; returns the list of shot indices seen."""
+    import metamorph.matching
+
+    original = metamorph.matching.integrate_forward
+    seen = []
+
+    def shot(state0, template, cfg):
+        seen.append(len(seen))
+        if len(seen) == 2:
+            return broken_shot(original, state0, template, cfg)
+        return original(state0, template, cfg)
+
+    monkeypatch.setattr(metamorph.matching, "integrate_forward", shot)
+    return seen
+
+
+def test_match_line_search_propagates_other_errors(monkeypatch):
+    def planted(original, state0, template, cfg):
+        raise ValueError("planted failure")
+
+    _patch_first_candidate(monkeypatch, planted)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    with pytest.raises(ValueError, match="planted failure") as info:
+        match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 3),)))
+    assert not isinstance(info.value, ShootingDiverged)
+
+
+def test_match_rejects_diverging_candidate(monkeypatch):
+    caught = []
+
+    def diverging(original, state0, template, cfg):
+        # a non-finite signal momentum makes the metric solve fail
+        nan_pf = np.full_like(state0.pf, np.nan)
+        try:
+            return original(ShootingState(state0.x, state0.f, state0.p, nan_pf), template, cfg)
+        except ShootingDiverged as exc:
+            caught.append(exc)
+            raise
+
+    seen = _patch_first_candidate(monkeypatch, diverging)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    result = match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 3),)))
+    assert len(caught) == 1 and "non-finite" in str(caught[0])
+    assert len(seen) > 2
+    values = [J for _, J, _, _ in result.objective_history]
+    assert result.objective_history[-1][0] == 3
+    assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_match_deterministic_bitwise():
