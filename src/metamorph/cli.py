@@ -31,7 +31,7 @@ from .fileio import (
     write_momenta,
     write_trajectory,
 )
-from .fshape import validate_fshape
+from .fshape import ShootingDiverged, validate_fshape
 from .matching import MatchConfig, match, objective, shoot
 from .sphere import SphereState, integrate_sphere
 from .varifold import fidelity, to_varifold
@@ -147,7 +147,10 @@ def _cmd_shoot(args) -> int:
     p0 = read_momenta(args.p0, (source.n_vertices, source.dim_n))
     pf = read_momenta(args.pf, (source.n_vertices,))
     started = time.perf_counter()
-    traj = shoot(source, p0, pf, cfg)
+    try:
+        traj = shoot(source, p0, pf, cfg)
+    except ShootingDiverged as exc:
+        raise UserError(f"shot diverged: {exc}") from None
     elapsed = time.perf_counter() - started
     with _AtomicDir(args.out) as tmp:
         write_trajectory(tmp / "trajectory", source, traj, cfg.dynamics())

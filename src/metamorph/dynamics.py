@@ -164,21 +164,27 @@ def integrate_forward(
     stages = []
     velocities = []
     for k in range(cfg.n_steps):
-        ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
-        velocities.append((ax1, af1))
-        z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
-        ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
-        z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
-        ax3, af3, ap3 = _rhs_blocks(template, cfg, *z3, pf)
-        z4 = (x + dt * ax3, p + dt * ap3)
-        ax4, af4, ap4 = _rhs_blocks(template, cfg, *z4, pf)
-        x = x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-        f = f + (dt / 6.0) * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
-        p = p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
+        step = f"step {k + 1} of {cfg.n_steps}"
+        # Overflow is left to the finiteness check below, which names the step.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
+                velocities.append((ax1, af1))
+                z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
+                ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
+                z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
+                ax3, af3, ap3 = _rhs_blocks(template, cfg, *z3, pf)
+                z4 = (x + dt * ax3, p + dt * ap3)
+                ax4, af4, ap4 = _rhs_blocks(template, cfg, *z4, pf)
+                x = x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
+                f = f + (dt / 6.0) * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
+                p = p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
+        except ShootingDiverged as exc:
+            raise ShootingDiverged(f"{exc} in {step}") from exc
         if not (
             np.all(np.isfinite(x)) and np.all(np.isfinite(f)) and np.all(np.isfinite(p))
         ):
-            raise ShootingDiverged(f"non-finite state after step {k + 1} of {cfg.n_steps}")
+            raise ShootingDiverged(f"non-finite state after {step}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         stages.append((z2, z3, z4))
     return Trajectory(tuple(states), tuple(stages), tuple(velocities))

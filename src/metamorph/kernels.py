@@ -2,12 +2,17 @@
 
 All radial profiles are functions of the *squared* distance u = |x - y|^2.
 This module is the only place that forms pairwise data: ``pairwise_sq_dists``
-is the one distance routine, for positions and signals alike, and
-``offset_sum`` the one reduction of weighted pair offsets. Sums are evaluated
-directly in O(PQ) time and memory, with no P x Q x n difference tensor; rows
-of every output are independent so the functions are safe to call
-concurrently on shared inputs. Frame kernels take unit frames as given;
-``DiscreteVarifold`` validates them at construction.
+is the one distance routine, for positions and signals alike, ``_profile``
+the one formula for k(u) and k'(u), and ``offset_sum`` the one reduction of
+weighted pair offsets. The deformation sums (``kernel_conv``,
+``quad_form_grad_x``) run over row tiles of about TILE_FLOATS pairs: each
+tile's distances are turned into kernel values in place and reduced straight
+into its output rows, so they take O(PQ) time and O(tile * Q) working
+memory, with no P x Q matrix and no P x Q x n difference tensor. The tiling
+depends only on the input shapes, so results are deterministic. Buffers are
+allocated per call and rows of every output are independent, so the
+functions are safe to call concurrently on shared inputs. Frame kernels take
+unit frames as given; ``DiscreteVarifold`` validates them at construction.
 """
 
 from __future__ import annotations
@@ -56,29 +61,52 @@ def cauchy(sigma: float, weight: float = 1.0) -> RadialKernelSpec:
     return RadialKernelSpec("cauchy", ((weight, sigma),))
 
 
+def _profile_term(family: str, w: float, s: float, u: np.ndarray, deriv: bool) -> np.ndarray:
+    """Overwrite u with one term w * k(u / s^2) of the profile, or its u-derivative."""
+    inv = 1.0 / (s * s)
+    if family == "gaussian":
+        u *= -0.5 * inv
+        np.exp(u, out=u)
+        u *= -0.5 * w * inv if deriv else w
+    else:
+        u *= inv
+        u += 1.0
+        if deriv:
+            u *= u
+        np.divide(-w * inv if deriv else w, u, out=u)
+    return u
+
+
+def _profile(spec: RadialKernelSpec, u: np.ndarray, deriv: bool = False) -> np.ndarray:
+    """Overwrite squared distances u with k(u), or with k'(u) when `deriv`."""
+    rest = [_profile_term(spec.family, w, s, u.copy(), deriv) for w, s in spec.terms[1:]]
+    _profile_term(spec.family, *spec.terms[0], u, deriv)
+    for t in rest:
+        u += t
+    return u
+
+
 def radial_eval(spec: RadialKernelSpec, u):
     """Kernel value at squared distance(s) u."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for w, s in spec.terms:
-        if spec.family == "gaussian":
-            out += w * np.exp(-u / (2.0 * s * s))
-        else:
-            out += w / (1.0 + u / (s * s))
+    out = _profile(spec, np.array(u, dtype=float))
     return out if out.ndim else float(out)
 
 
 def radial_deriv(spec: RadialKernelSpec, u):
     """Derivative of the kernel w.r.t. its squared-distance argument."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    for w, s in spec.terms:
-        inv = 1.0 / (s * s)
-        if spec.family == "gaussian":
-            out += -0.5 * w * inv * np.exp(-0.5 * u * inv)
-        else:
-            out += -w * inv / (1.0 + u * inv) ** 2
+    out = _profile(spec, np.array(u, dtype=float), deriv=True)
     return out if out.ndim else float(out)
+
+
+def _sq_dists_into(x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Write |x_i - y_j|^2 into out, one coordinate at a time, with t as scratch."""
+    np.subtract.outer(x[:, 0], y[:, 0], out=out)
+    out *= out
+    for k in range(1, x.shape[1]):
+        np.subtract.outer(x[:, k], y[:, k], out=t)
+        t *= t
+        out += t
+    return out
 
 
 def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,19 +115,32 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Accumulates one coordinate at a time into the P x Q output, with one
     P x Q scratch buffer for the squared coordinate differences.
     """
-    out = np.subtract.outer(x[:, 0], y[:, 0])
-    out *= out
-    t = np.empty_like(out)
-    for k in range(1, x.shape[1]):
-        np.subtract.outer(x[:, k], y[:, k], out=t)
-        t *= t
-        out += t
-    return out
+    shape = (x.shape[0], y.shape[0])
+    return _sq_dists_into(x, y, np.empty(shape), np.empty(shape))
 
 
 def offset_sum(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row sums sum_j w[i, j] (x_i - y_j), without forming the differences."""
     return w.sum(axis=1)[:, None] * x - w @ y
+
+
+TILE_FLOATS = 1 << 18  # pairs per row tile: two 2 MB buffers per call
+
+
+def _profile_tiles(spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, deriv: bool):
+    """Yield (rows, k, scratch) over row tiles of x: k holds k(u) (or k'(u))
+    for |x[rows] - y|^2 and scratch is a free buffer of the same shape.
+
+    Both buffers are reused from one tile to the next.
+    """
+    P, Q = x.shape[0], y.shape[0]
+    height = max(1, min(P, TILE_FLOATS // max(Q, 1)))
+    u_buf, t_buf = np.empty((height, Q)), np.empty((height, Q))
+    for start in range(0, P, height):
+        rows = slice(start, min(start + height, P))
+        n = rows.stop - start
+        u, t = u_buf[:n], t_buf[:n]
+        yield rows, _profile(spec, _sq_dists_into(x[rows], y, u, t), deriv), t
 
 
 def _check_points(x, y=None):
@@ -114,6 +155,14 @@ def _check_points(x, y=None):
     return x, y
 
 
+def _check_momenta(x, p):
+    x = _check_points(x)
+    p = np.asarray(p, dtype=float)
+    if p.shape != x.shape:
+        raise ValueError(f"momenta shape {p.shape} != points shape {x.shape}")
+    return x, p
+
+
 def kernel_conv(
     spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, alpha: np.ndarray
 ) -> np.ndarray:
@@ -122,29 +171,28 @@ def kernel_conv(
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != y.shape[0]:
         raise ValueError(f"alpha rows {alpha.shape[0]} != source points {y.shape[0]}")
-    K = radial_eval(spec, pairwise_sq_dists(x, y))
-    return K @ alpha
+    out = np.empty((x.shape[0],) + alpha.shape[1:])
+    for rows, k, _ in _profile_tiles(spec, x, y, deriv=False):
+        np.matmul(k, alpha, out=out[rows])
+    return out
 
 
 def quad_form(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> float:
     """Double sum p_k . k(|x_k - x_l|^2) p_l; PSD in p."""
-    x = _check_points(x)
-    p = np.asarray(p, dtype=float)
-    if p.shape != x.shape:
-        raise ValueError(f"momenta shape {p.shape} != points shape {x.shape}")
-    K = radial_eval(spec, pairwise_sq_dists(x, x))
-    return float(np.sum(p * (K @ p)))
+    x, p = _check_momenta(x, p)
+    return float(np.sum(p * kernel_conv(spec, x, x, p)))
 
 
 def quad_form_grad_x(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact gradient of quad_form w.r.t. the point positions x."""
-    x = _check_points(x)
-    p = np.asarray(p, dtype=float)
-    if p.shape != x.shape:
-        raise ValueError(f"momenta shape {p.shape} != points shape {x.shape}")
-    u = pairwise_sq_dists(x, x)
-    w = radial_deriv(spec, u) * (p @ p.T)
-    return 4.0 * offset_sum(w, x, x)
+    """Exact gradient of quad_form w.r.t. the point positions x:
+    4 sum_l k'(|x_k - x_l|^2) (p_k . p_l) (x_k - x_l)."""
+    x, p = _check_momenta(x, p)
+    out = np.empty_like(x)
+    for rows, dk, pp in _profile_tiles(spec, x, x, deriv=True):
+        dk *= np.matmul(p[rows], p.T, out=pp)
+        out[rows] = offset_sum(dk, x[rows], x)
+    out *= 4.0
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -380,3 +381,22 @@ def test_bad_step_count_is_user_error(n_steps, mesh_pair, config_path, tmp_path,
     src_path, _ = mesh_pair
     assert main(_shoot_args(src_path, config_path, tmp_path)) == 1
     assert "n_steps" in capsys.readouterr().err
+
+
+def test_shoot_divergence_is_user_error(config_path, tmp_path, capsys):
+    config = json.loads(config_path.read_text())
+    config["n_steps"] = 4
+    config_path.write_text(json.dumps(config))
+    src_path = tmp_path / "src.fsh"
+    src = triangle_strip(4, seed=1)
+    write_fshape(src_path, src)
+    args = _shoot_args(src_path, config_path, tmp_path)
+    write_momenta(tmp_path / "p0.txt", np.full_like(src.vertices, 1e200))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: shot diverged:") and "step 1 of 4" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "shot").exists()

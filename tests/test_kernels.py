@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from metamorph import (
     quad_form_grad_x,
     radial_eval,
 )
+from metamorph import kernels
 from metamorph.kernels import (
     grassmann_grad_sum,
     grassmann_matrix,
@@ -93,6 +95,73 @@ def test_pairwise_sq_dists_builds_no_difference_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * P * P * 8
+
+
+def test_tiled_sums_hold_no_pair_matrix():
+    # Row tiles of about TILE_FLOATS pairs; one dense P x P matrix is P^2 floats.
+    P = 2000
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((P, 3))
+    p = rng.standard_normal((P, 3))
+    for call in (lambda: kernel_conv(GAUSS, x, x, p), lambda: quad_form_grad_x(GAUSS, x, p)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * P * P * 8
+
+
+def _profile_loop(spec, u, deriv=False):
+    total = 0.0
+    for w, s in spec.terms:
+        a = u / (s * s)
+        if spec.family == "gaussian":
+            total += -0.5 * w / (s * s) * math.exp(-0.5 * a) if deriv else w * math.exp(-0.5 * a)
+        else:
+            total += -w / (s * s) / (1.0 + a) ** 2 if deriv else w / (1.0 + a)
+    return total
+
+
+def _sq(a, b):
+    return float(sum((a - b) ** 2))
+
+
+TILE_ROWS = 4
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
+@pytest.mark.parametrize("P", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 2])
+def test_tiled_kernel_conv_matches_double_loop(spec, P, monkeypatch):
+    rng = np.random.default_rng(15 + P)
+    Q = P + 2
+    x = 0.2 * rng.standard_normal((P, 3))
+    y = 0.2 * rng.standard_normal((Q, 3))
+    alpha = rng.standard_normal((Q, 3))
+    monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * Q)
+    expected = np.array(
+        [sum(_profile_loop(spec, _sq(x[i], y[j])) * alpha[j] for j in range(Q)) for i in range(P)]
+    )
+    out = kernel_conv(spec, x, y, alpha)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(out, kernel_conv(spec, x, y, alpha))
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
+@pytest.mark.parametrize("P", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 2])
+def test_tiled_quad_form_grad_matches_double_loop(spec, P, monkeypatch):
+    rng = np.random.default_rng(16 + P)
+    x = 0.2 * rng.standard_normal((P, 3))
+    p = rng.standard_normal((P, 3))
+    monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * P)
+    def force(i, j):
+        return _profile_loop(spec, _sq(x[i], x[j]), deriv=True) * (p[i] @ p[j]) * (x[i] - x[j])
+
+    expected = np.array([4.0 * sum(force(i, j) for j in range(P)) for i in range(P)])
+    out = quad_form_grad_x(spec, x, p)
+    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(out, quad_form_grad_x(spec, x, p))
 
 
 def test_offset_sum_matches_double_loop():
