@@ -127,6 +127,12 @@ def _load_pair(args):
         violations = validate_fshape(fs)
         if violations:
             raise UserError(f"{name} mesh is invalid: {violations[0]}")
+    if (source.dim_d, source.dim_n) != (target.dim_d, target.dim_n):
+        raise UserError(
+            f"source (d={source.dim_d}, n={source.dim_n}) and target "
+            f"(d={target.dim_d}, n={target.dim_n}) must share the cell "
+            "dimension d and the ambient dimension n"
+        )
     return source, target
 
 

@@ -1,18 +1,22 @@
-"""Radial deformation kernels and Grassmann frame kernels.
+"""Radial deformation kernels and Grassmann frame kernel specs.
 
 All radial profiles are functions of the *squared* distance u = |x - y|^2.
-This module is the only place that forms pairwise data: ``pairwise_sq_dists``
-is the one distance routine, for positions and signals alike, ``_profile``
-the one formula for k(u) and k'(u), and ``offset_sum`` the one reduction of
-weighted pair offsets. The deformation sums (``kernel_conv``,
-``quad_form_grad_x``) run over row tiles of about TILE_FLOATS pairs: each
-tile's distances are turned into kernel values in place and reduced straight
-into its output rows, so they take O(PQ) time and O(tile * Q) working
-memory, with no P x Q matrix and no P x Q x n difference tensor. The tiling
-depends only on the input shapes, so results are deterministic. Buffers are
-allocated per call and rows of every output are independent, so the
-functions are safe to call concurrently on shared inputs. Frame kernels take
-unit frames as given; ``DiscreteVarifold`` validates them at construction.
+This module holds the pairwise routines that every pairwise sum uses:
+``_sq_dists_into`` (behind ``pairwise_sq_dists``) is the one distance
+routine, for positions and signals alike, ``_profile`` the one formula for
+k(u) or k'(u), ``_profile_pair`` the one that gives both from the same exp
+(Gaussian) or quotient (Cauchy), ``offset_sum`` the one reduction of
+weighted pair offsets and ``_tile_rows`` the one row-tile size. The
+deformation sums (``kernel_conv``, ``quad_form_grad_x``) and the varifold
+sweeps run over row tiles whose buffers together hold about 2 * TILE_FLOATS
+floats: each tile's distances are turned into kernel values in place and
+reduced straight into its outputs, so a P x Q sum takes O(PQ) time and
+O(tile * Q) working memory, with no P x Q matrix and no P x Q x n
+difference tensor. The tiling depends only on the input shapes, so results
+are deterministic. Buffers are allocated per call and rows of every output
+are independent, so the functions are safe to call concurrently on shared
+inputs. Frame kernels take unit frames as given; ``DiscreteVarifold``
+validates them at construction.
 """
 
 from __future__ import annotations
@@ -86,15 +90,39 @@ def _profile(spec: RadialKernelSpec, u: np.ndarray, deriv: bool = False) -> np.n
     return u
 
 
+def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray):
+    """Overwrite u with one term w * k(u / s^2) and write its u-derivative
+    into du, from the one exp (Gaussian) or quotient (Cauchy) of the value."""
+    inv = 1.0 / (s * s)
+    if family == "gaussian":
+        u *= -0.5 * inv
+        np.exp(u, out=u)
+        np.multiply(u, -0.5 * w * inv, out=du)
+        u *= w
+    else:
+        u *= inv
+        u += 1.0
+        np.divide(w, u, out=u)
+        np.multiply(u, u, out=du)
+        du *= -inv / w
+    return u, du
+
+
+def _profile_pair(spec: RadialKernelSpec, u: np.ndarray, du: np.ndarray):
+    """Overwrite squared distances u with k(u) and write k'(u) into du."""
+    rest = [
+        _pair_term(spec.family, w, s, u.copy(), np.empty_like(u)) for w, s in spec.terms[1:]
+    ]
+    _pair_term(spec.family, *spec.terms[0], u, du)
+    for k, dk in rest:
+        u += k
+        du += dk
+    return u, du
+
+
 def radial_eval(spec: RadialKernelSpec, u):
     """Kernel value at squared distance(s) u."""
     out = _profile(spec, np.array(u, dtype=float))
-    return out if out.ndim else float(out)
-
-
-def radial_deriv(spec: RadialKernelSpec, u):
-    """Derivative of the kernel w.r.t. its squared-distance argument."""
-    out = _profile(spec, np.array(u, dtype=float), deriv=True)
     return out if out.ndim else float(out)
 
 
@@ -127,6 +155,12 @@ def offset_sum(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 TILE_FLOATS = 1 << 18  # pairs per row tile: two 2 MB buffers per call
 
 
+def _tile_rows(P: int, Q: int, n_buffers: int = 2) -> int:
+    """Rows per tile of a P x Q sweep whose n_buffers tile buffers together
+    hold about 2 * TILE_FLOATS floats (TILE_FLOATS // Q rows for two)."""
+    return max(1, min(P, 2 * TILE_FLOATS // (n_buffers * max(Q, 1))))
+
+
 def _profile_tiles(spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, deriv: bool):
     """Yield (rows, k, scratch) over row tiles of x: k holds k(u) (or k'(u))
     for |x[rows] - y|^2 and scratch is a free buffer of the same shape.
@@ -134,7 +168,7 @@ def _profile_tiles(spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, deriv: 
     Both buffers are reused from one tile to the next.
     """
     P, Q = x.shape[0], y.shape[0]
-    height = max(1, min(P, TILE_FLOATS // max(Q, 1)))
+    height = _tile_rows(P, Q)
     u_buf, t_buf = np.empty((height, Q)), np.empty((height, Q))
     for start in range(0, P, height):
         rows = slice(start, min(start + height, P))
@@ -207,33 +241,3 @@ class GrassmannKernelSpec:
     def __post_init__(self):
         if self.mode not in _GRASSMANN_MODES:
             raise ValueError(f"unknown Grassmann kernel mode {self.mode!r}")
-
-
-def grassmann_matrix(
-    spec: GrassmannKernelSpec, U: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """All-pairs frame kernel values for rows of U (T x n) and V (T' x n)."""
-    dot = U @ V.T
-    if spec.mode == "unoriented_squared":
-        return dot**2
-    if spec.mode == "oriented_linear":
-        return dot
-    return np.ones_like(dot)
-
-
-def grassmann_grad_sum(
-    spec: GrassmannKernelSpec, U: np.ndarray, V: np.ndarray, coeffs: np.ndarray
-) -> np.ndarray:
-    """Row-wise weighted sums of frame-kernel gradients.
-
-    Returns G with G[i] = sum_j coeffs[i, j] * d/du k_t(U[i], V[j]), projected
-    onto the tangent space at U[i].
-    """
-    if spec.mode == "constant":
-        return np.zeros_like(U)
-    dot = U @ V.T
-    if spec.mode == "unoriented_squared":
-        raw = (2.0 * coeffs * dot) @ V
-    else:
-        raw = coeffs @ V
-    return raw - np.sum(raw * U, axis=1)[:, None] * U

@@ -5,13 +5,20 @@ unit frame, d-volume, mean signal). The fidelity is the squared kernel-metric
 distance between the two Dirac sums, with positive kernels on positions,
 signal values and frames; gradients are chained back to vertex positions and
 vertex signals through the per-cell edges, frames and volume gradients of the
-mesh's memoised ``cell_geometry`` record. Centre and signal distances and
-their partials come from ``kernels.pairwise_sq_dists`` and
-``kernels.offset_sum``, so every pairwise array is T x T' with no T x T' x n
-tensor. Frames are checked to be unit vectors once, when a
-``DiscreteVarifold`` is built. The target's self-term <nu, nu> does not
-depend on the moving mesh, so each target varifold computes it once per
-kernel triple and ``fidelity`` reuses it.
+mesh's memoised ``cell_geometry`` record.
+
+Every sum over cell pairs is one row-tiled sweep over the rows of mu and a
+stack of weighted columns, on the ``kernels`` tiles: each tile's centre and
+signal distances (``kernels._sq_dists_into``), radial profiles and frame
+kernel go into per-call buffers and are reduced at once into the outputs, in
+O(T * T') time and O(tile * (T + T')) working memory with no T x T' matrix.
+<mu, mu> - 2 <mu, nu> is one sweep over the columns [mu; nu] that runs the
+mu-mu blocks from the diagonal rightward and counts those right of it twice;
+the gradient is one sweep over the same columns that gives all four per-cell
+partials, with k and k' from one exp per profile term. Frames are checked to
+be unit vectors once, when a ``DiscreteVarifold`` is built. The target's
+self-term <nu, nu> does not depend on the moving mesh, so each target
+varifold computes it once per kernel triple and ``fidelity`` reuses it.
 """
 
 from __future__ import annotations
@@ -24,12 +31,10 @@ from .fshape import DiscreteFshape, cell_geometry, _frozen
 from .kernels import (
     GrassmannKernelSpec,
     RadialKernelSpec,
-    grassmann_grad_sum,
-    grassmann_matrix,
-    offset_sum,
-    pairwise_sq_dists,
-    radial_deriv,
-    radial_eval,
+    _profile,
+    _profile_pair,
+    _sq_dists_into,
+    _tile_rows,
 )
 
 UNIT_FRAME_TOL = 1e-8
@@ -103,49 +108,142 @@ def to_varifold(fs: DiscreteFshape) -> DiscreteVarifold:
     )
 
 
-def _kernel_matrices(a: DiscreteVarifold, b: DiscreteVarifold, K: VarifoldKernels):
-    u2 = pairwise_sq_dists(a.centers, b.centers)
-    s2 = pairwise_sq_dists(a.cell_signals[:, None], b.cell_signals[:, None])
-    kt = grassmann_matrix(K.kt, a.frames, b.frames)
-    return u2, radial_eval(K.kp, u2), s2, radial_eval(K.kf, s2), kt
+# Tile buffers per sweep: the value needs k_p (with the distance scratch in
+# k_f's buffer), k_f and the frame kernel; the partials need k_p, k_p', k_f,
+# k_f' and the frame dots.
+_VALUE_BUFFERS = 3
+_PARTIAL_BUFFERS = 5
+
+
+def _columns(a: DiscreteVarifold, parts):
+    """Columns of a sweep over the rows of a: the cells of each (varifold,
+    scale) part stacked in order, as (centres, signals, frames, weights) with
+    each part's weights multiplied by its scale."""
+    if any(b.centers.shape[1] != a.centers.shape[1] for b, _ in parts):
+        raise ValueError("varifolds live in different ambient dimensions")
+    return (
+        np.concatenate([b.centers for b, _ in parts]),
+        np.concatenate([b.cell_signals for b, _ in parts])[:, None],
+        np.concatenate([b.frames for b, _ in parts]),
+        np.concatenate([scale * b.weights for b, scale in parts]),
+    )
+
+
+def _tiles(T: int, m: int, n_buffers: int, sym: bool):
+    """Yield (rows, first, buffers) over row tiles of a T-row, m-column sweep.
+
+    ``first`` is the tile's first column: its diagonal block when ``sym``
+    (the columns open with the rows' own cells), else 0. The n_buffers
+    buffers have shape (len(rows), m - first) and are reused from tile to
+    tile.
+    """
+    height = _tile_rows(T, m, n_buffers)
+    flat = np.empty((n_buffers, height * m))
+    for start in range(0, T, height):
+        stop = min(start + height, T)
+        first = start if sym else 0
+        shape = (stop - start, m - first)
+        size = shape[0] * shape[1]
+        yield slice(start, stop), first, [buf[:size].reshape(shape) for buf in flat]
+
+
+def _sweep_value(a: DiscreteVarifold, parts, K: VarifoldKernels, sym: bool) -> float:
+    """sum_ij w_i W_j k(a_i, col_j) over the rows of a and the columns of parts,
+    with W the columns' scaled weights.
+
+    With ``sym`` the columns open with a itself (scale 1): each row tile
+    starts at its diagonal block and counts the a-columns right of that block
+    twice, in place of the blocks below the diagonal.
+    """
+    c, s, u, colw = _columns(a, parts)
+    T, m = a.weights.size, colw.size
+    doubled = colw.copy()
+    if sym:
+        doubled[:T] *= 2.0
+    total = 0.0
+    for rows, first, (kp, kf, kt) in _tiles(T, m, _VALUE_BUFFERS, sym):
+        _profile(K.kp, _sq_dists_into(a.centers[rows], c[first:], kp, kf))
+        _profile(K.kf, _sq_dists_into(a.cell_signals[rows, None], s[first:], kf, kt))
+        kp *= kf
+        if K.kt.mode != "constant":
+            np.matmul(a.frames[rows], u[first:].T, out=kt)
+            if K.kt.mode == "unoriented_squared":
+                kt *= kt
+            kp *= kt
+        cw = doubled[first:]
+        if sym:  # the diagonal block counts once
+            cw = np.concatenate([colw[rows], cw[rows.stop - rows.start :]])
+        total += float(a.weights[rows] @ (kp @ cw))
+    return total
+
+
+def _sweep_partials(a: DiscreteVarifold, parts, K: VarifoldKernels):
+    """Partials of sum_ij w_i W_j k(a_i, col_j) w.r.t. a's centres, signals,
+    frames and weights, the columns held fixed.
+
+    The frame partial is projected onto the tangent space of each unit frame.
+    """
+    c, s, u, colw = _columns(a, parts)
+    T, m = a.weights.size, colw.size
+    # Weighted column data: each reduction is one product with the tile.
+    wc = np.column_stack([colw, colw[:, None] * c])
+    ws = np.column_stack([colw, colw * s[:, 0]])
+    wu = colw[:, None] * u
+    dc = np.empty_like(a.centers)
+    ds = np.empty(T)
+    du = np.zeros_like(a.frames)
+    dw = np.empty(T)
+    mode = K.kt.mode
+    for rows, _, (kp, dkp, kf, dkf, dot) in _tiles(T, m, _PARTIAL_BUFFERS, sym=False):
+        _profile_pair(K.kp, _sq_dists_into(a.centers[rows], c, kp, dkp), dkp)
+        _profile_pair(K.kf, _sq_dists_into(a.cell_signals[rows, None], s, kf, dkf), dkf)
+        dkf *= kp  # k_p k_f'
+        kp *= kf  # k_p k_f
+        dkp *= kf  # k_p' k_f
+        if mode == "constant":
+            kf = kp
+        else:
+            U = a.frames[rows]
+            np.matmul(U, u.T, out=dot)
+            np.multiply(kp, dot, out=kf)  # k_p k_f (u.v)
+            if mode == "unoriented_squared":
+                raw = 2.0 * (kf @ wu)  # d/du (u.v)^2 = 2 (u.v) v
+                kf *= dot
+                dot *= dot
+            else:
+                raw = kp @ wu  # d/du (u.v) = v
+            du[rows] = raw - np.sum(raw * U, axis=1)[:, None] * U
+            dkp *= dot
+            dkf *= dot
+        # kf now holds the whole kernel k_p k_f k_t.
+        dw[rows] = kf @ colw
+        r = dkp @ wc
+        dc[rows] = 2.0 * (r[:, :1] * a.centers[rows] - r[:, 1:])
+        r = dkf @ ws
+        ds[rows] = 2.0 * (r[:, 0] * a.cell_signals[rows] - r[:, 1])
+    w = a.weights
+    return w[:, None] * dc, w * ds, w[:, None] * du, dw
 
 
 def varifold_inner(
     a: DiscreteVarifold, b: DiscreteVarifold, K: VarifoldKernels
 ) -> float:
-    """Kernel inner product of two discrete varifolds."""
-    if a.centers.shape[1] != b.centers.shape[1]:
-        raise ValueError("varifolds live in different ambient dimensions")
-    _, kp, _, kf, kt = _kernel_matrices(a, b, K)
-    return float(a.weights @ (kp * kf * kt) @ b.weights)
-
-
-def _inner_first_partials(
-    a: DiscreteVarifold, b: DiscreteVarifold, K: VarifoldKernels
-):
-    """Partials of varifold_inner(a, b) w.r.t. a's centers/signals/frames/weights."""
-    u2, kp, s2, kf, kt = _kernel_matrices(a, b, K)
-    ww = a.weights[:, None] * b.weights[None, :]
-    d_centers = 2.0 * offset_sum(radial_deriv(K.kp, u2) * kf * kt * ww, a.centers, b.centers)
-    d_signals = 2.0 * offset_sum(
-        kp * radial_deriv(K.kf, s2) * kt * ww, a.cell_signals[:, None], b.cell_signals[:, None]
-    )[:, 0]
-    d_frames = grassmann_grad_sum(K.kt, a.frames, b.frames, kp * kf * ww)
-    d_weights = (kp * kf * kt) @ b.weights
-    return d_centers, d_signals, d_frames, d_weights
+    """Kernel inner product of two discrete varifolds; the symmetric sweep
+    when a is b."""
+    return _sweep_value(a, ((b, 1.0),), K, sym=a is b)
 
 
 def fidelity(
     fs1: DiscreteFshape, target: DiscreteVarifold, K: VarifoldKernels
 ) -> float:
-    """Squared varifold distance between fs1 and the target; clamped at 0."""
+    """Squared varifold distance between fs1 and the target; clamped at 0.
+
+    <mu, mu> - 2 <mu, nu> is one symmetric sweep over the columns [mu; nu];
+    <nu, nu> is the target's kept self-term.
+    """
     mu = to_varifold(fs1)
-    value = (
-        varifold_inner(mu, mu, K)
-        - 2.0 * varifold_inner(mu, target, K)
-        + target.self_inner(K)
-    )
-    return max(value, 0.0)
+    value = _sweep_value(mu, ((mu, 1.0), (target, -2.0)), K, sym=True)
+    return max(value + target.self_inner(K), 0.0)
 
 
 def grad_fidelity(
@@ -157,13 +255,8 @@ def grad_fidelity(
     the vertices of each cell.
     """
     mu = to_varifold(fs1)
-    dc_aa, ds_aa, du_aa, dw_aa = _inner_first_partials(mu, mu, K)
-    dc_ab, ds_ab, du_ab, dw_ab = _inner_first_partials(mu, target, K)
-    # d fidelity / d(cell data); the mu-mu term doubles by symmetry.
-    dc = 2.0 * (dc_aa - dc_ab)
-    ds = 2.0 * (ds_aa - ds_ab)
-    du = 2.0 * (du_aa - du_ab)
-    dw = 2.0 * (dw_aa - dw_ab)
+    # d fidelity / d(cell data): the mu-mu term doubles by symmetry.
+    dc, ds, du, dw = _sweep_partials(mu, ((mu, 2.0), (target, -2.0)), K)
 
     cells = fs1.cells
     d = fs1.dim_d

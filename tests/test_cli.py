@@ -400,3 +400,36 @@ def test_shoot_divergence_is_user_error(config_path, tmp_path, capsys):
     assert err.startswith("error: shot diverged:") and "step 1 of 4" in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "shot").exists()
+
+
+def _curve(n):
+    pts = np.zeros((5, n))
+    pts[:, 0] = np.linspace(0.0, 1.0, 5)
+    pts[:, 1] = [0.0, 0.2, 0.0, -0.1, 0.1]
+    cells = np.column_stack([np.arange(4), np.arange(1, 5)])
+    return DiscreteFshape(pts, np.linspace(0.0, 1.0, 5), cells)
+
+
+@pytest.mark.parametrize("command", ["distance", "match"])
+@pytest.mark.parametrize(
+    "source, target, dims",
+    [
+        (_curve(2), _curve(3), "source (d=1, n=2) and target (d=1, n=3)"),
+        (_curve(3), triangle_strip(4, seed=3), "source (d=1, n=3) and target (d=2, n=3)"),
+    ],
+    ids=["curve2d-curve3d", "curve-surface"],
+)
+def test_mismatched_dimensions_are_user_error(
+    command, source, target, dims, config_path, tmp_path, capsys
+):
+    src_path, tgt_path = tmp_path / "src.fsh", tmp_path / "tgt.fsh"
+    write_fshape(src_path, source)
+    write_fshape(tgt_path, target)
+    args = [command, str(src_path), str(tgt_path), "--config", str(config_path)]
+    if command == "match":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and dims in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -5,21 +5,23 @@ import numpy as np
 import pytest
 
 from metamorph import (
+    DiscreteVarifold,
     GrassmannKernelSpec,
     RadialKernelSpec,
+    VarifoldKernels,
+    fidelity,
+    grad_fidelity,
     kernel_conv,
     quad_form,
     quad_form_grad_x,
     radial_eval,
+    to_varifold,
+    varifold_inner,
 )
-from metamorph import kernels
-from metamorph.kernels import (
-    grassmann_grad_sum,
-    grassmann_matrix,
-    offset_sum,
-    pairwise_sq_dists,
-    radial_deriv,
-)
+from metamorph import kernels, varifold
+from metamorph.kernels import offset_sum, pairwise_sq_dists
+
+from conftest import triangle_strip
 
 GAUSS = RadialKernelSpec("gaussian", ((1.0, 0.3),))
 CAUCHY = RadialKernelSpec("cauchy", ((1.0, 0.3),))
@@ -50,16 +52,32 @@ def test_radial_spec_validation():
         RadialKernelSpec("sinc", ((1.0, 1.0),))
 
 
+def _pair(spec, u):
+    """(k(u), k'(u)) from the one pass that gives both."""
+    k = np.array(u, dtype=float)
+    dk = np.empty_like(k)
+    kernels._profile_pair(spec, k, dk)
+    return k, dk
+
+
 @pytest.mark.parametrize("spec", [GAUSS, CAUCHY, TWO_TERM])
 def test_radial_deriv_matches_fd(spec):
-    for u in (0.0, 0.01, 0.3, 2.0):
-        eps = 1e-6
-        fd = (radial_eval(spec, u + eps) - radial_eval(spec, max(u - eps, 0.0))) / (
-            eps if u == 0.0 else 2 * eps
-        )
-        if u == 0.0:
-            continue  # one-sided FD too crude at the boundary
-        assert radial_deriv(spec, u) == pytest.approx(fd, rel=1e-7)
+    # k' of the k/k' pair against central differences of k
+    u = np.array([0.01, 0.3, 2.0])
+    eps = 1e-6
+    _, dk = _pair(spec, u)
+    fd = (radial_eval(spec, u + eps) - radial_eval(spec, u - eps)) / (2 * eps)
+    np.testing.assert_allclose(dk, fd, rtol=1e-7)
+
+
+@pytest.mark.parametrize("spec", [GAUSS, CAUCHY, TWO_TERM])
+def test_profile_pair_matches_closed_forms(spec):
+    u = np.array([0.0, 0.01, 0.3, 2.0])
+    k, dk = _pair(spec, u)
+    # the value is radial_eval's to the bit, so a sweep's value and partials agree
+    np.testing.assert_array_equal(k, radial_eval(spec, u))
+    expected = [_profile_loop(spec, v, deriv=True) for v in u]
+    np.testing.assert_allclose(dk, expected, rtol=1e-14)
 
 
 def test_pairwise_sq_dists_matches_double_loop():
@@ -111,6 +129,27 @@ def test_tiled_sums_hold_no_pair_matrix():
         finally:
             tracemalloc.stop()
         assert peak < 0.25 * P * P * 8
+
+
+def test_varifold_sweeps_hold_no_cell_pair_matrix():
+    # T cells against T: one dense T x T matrix is T^2 floats
+    T = 2000
+    fs = triangle_strip(T, seed=20)
+    nu = to_varifold(triangle_strip(T, seed=21))
+    K = VarifoldKernels(GAUSS, GAUSS, GrassmannKernelSpec("unoriented_squared"))
+    to_varifold(fs)  # measure the cells before tracing
+    for call in (
+        lambda: varifold_inner(nu, nu, K),
+        lambda: fidelity(fs, nu, K),
+        lambda: grad_fidelity(fs, nu, K),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * T * T * 8
 
 
 def _profile_loop(spec, u, deriv=False):
@@ -282,7 +321,8 @@ def test_scalar_kernel_grad_matches_fd():
     a = np.array([[0.0], [1.2], [2.0]])
     b = np.array([[0.5], [-0.3], [2.0], [0.1]])
     c = rng.standard_normal((3, 4))
-    grad = offset_sum(2.0 * radial_deriv(GAUSS, pairwise_sq_dists(a, b)) * c, a, b)[:, 0]
+    _, dk = _pair(GAUSS, pairwise_sq_dists(a, b))
+    grad = offset_sum(2.0 * dk * c, a, b)[:, 0]
     eps = 1e-7
     for i in range(3):
         fd = sum(
@@ -325,19 +365,36 @@ def _pair_grad(spec, u, v):
     return raw - float(raw @ u) * u
 
 
+def _frame_sweep(spec, U, V, wu, wv):
+    """The varifold sweep's value sum_ij wu_i wv_j k_t(U_i, V_j) and its
+    frame partials, with every cell at the origin and signal 0 so that
+    k_p = k_f = 1 and only the frame kernel varies."""
+    def at_origin(frames, weights):
+        return DiscreteVarifold(np.zeros_like(frames), frames, weights, np.zeros(len(weights)))
+
+    a, b = at_origin(U, wu), at_origin(V, wv)
+    K = VarifoldKernels(GAUSS, GAUSS, spec)
+    value = varifold._sweep_value(a, ((b, 1.0),), K, sym=False)
+    return value, varifold._sweep_partials(a, ((b, 1.0),), K)[2]
+
+
 def test_grassmann_eval_identical():
     U = _unit_rows(np.random.default_rng(15), 4)
     for spec in (UNORIENTED, ORIENTED, CONSTANT):
-        np.testing.assert_allclose(np.diag(grassmann_matrix(spec, U, U)), 1.0, rtol=1e-15)
+        for u in U:
+            value, _ = _frame_sweep(spec, u[None], u[None], [1.0], [1.0])
+            assert value == pytest.approx(1.0, rel=1e-15)
 
 
 def test_grassmann_unoriented_flip_invariant():
     rng = np.random.default_rng(16)
     U = _unit_rows(rng, 3)
     V = _unit_rows(rng, 4)
-    np.testing.assert_allclose(
-        grassmann_matrix(UNORIENTED, U, -V), grassmann_matrix(UNORIENTED, U, V), rtol=1e-15
-    )
+    wu, wv = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 4)
+    flipped, d_flipped = _frame_sweep(UNORIENTED, U, -V, wu, wv)
+    value, d_value = _frame_sweep(UNORIENTED, U, V, wu, wv)
+    assert flipped == pytest.approx(value, rel=1e-15)
+    np.testing.assert_allclose(d_flipped, d_value, rtol=1e-14)
 
 
 @pytest.mark.parametrize("spec", [UNORIENTED, ORIENTED, CONSTANT])
@@ -345,27 +402,29 @@ def test_grassmann_grad_tangent(spec):
     rng = np.random.default_rng(5)
     U = _unit_rows(rng, 10)
     V = _unit_rows(rng, 6)
-    G = grassmann_grad_sum(spec, U, V, rng.standard_normal((10, 6)))
+    _, G = _frame_sweep(spec, U, V, rng.uniform(0.5, 1.5, 10), rng.uniform(0.5, 1.5, 6))
     assert np.abs(np.sum(G * U, axis=1)).max() < 1e-12
 
 
 def test_grassmann_grad_matches_projected_fd():
-    # FD of the row's weighted kernel sum along tangent directions at U[i]
+    # FD of the weighted kernel sum along tangent directions at U[i]
     rng = np.random.default_rng(6)
     U = _unit_rows(rng, 3)
     V = _unit_rows(rng, 4)
-    W = rng.standard_normal((3, 4))
+    wu, wv = rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 4)
     eps = 1e-7
     for spec in (UNORIENTED, ORIENTED):
-        G = grassmann_grad_sum(spec, U, V, W)
+        _, G = _frame_sweep(spec, U, V, wu, wv)
         for i in range(3):
             for _ in range(4):
                 t = rng.standard_normal(3)
                 t -= (t @ U[i]) * U[i]  # tangent direction
-                up = _unit(U[i] + eps * t)[None]
-                um = _unit(U[i] - eps * t)[None]
-                diff = grassmann_matrix(spec, up, V) - grassmann_matrix(spec, um, V)
-                fd = float(diff[0] @ W[i]) / (2 * eps)
+                up, um = U.copy(), U.copy()
+                up[i] = _unit(U[i] + eps * t)
+                um[i] = _unit(U[i] - eps * t)
+                fd = (_frame_sweep(spec, up, V, wu, wv)[0] - _frame_sweep(spec, um, V, wu, wv)[0]) / (
+                    2 * eps
+                )
                 assert float(G[i] @ t) == pytest.approx(fd, abs=1e-6)
 
 
@@ -373,13 +432,11 @@ def test_grassmann_matrix_and_grad_sum_agree_with_pairwise():
     rng = np.random.default_rng(7)
     U = _unit_rows(rng, 4)
     V = _unit_rows(rng, 5)
-    W = rng.standard_normal((4, 5))
+    wu, wv = rng.uniform(0.5, 1.5, 4), rng.uniform(0.5, 1.5, 5)
     for spec in (UNORIENTED, ORIENTED, CONSTANT):
-        M = grassmann_matrix(spec, U, V)
+        value, G = _frame_sweep(spec, U, V, wu, wv)
+        expected = sum(wu[i] * wv[j] * _pair_kernel(spec, U[i], V[j]) for i in range(4) for j in range(5))
+        assert value == pytest.approx(expected, rel=1e-14)
         for i in range(4):
-            for j in range(5):
-                assert M[i, j] == pytest.approx(_pair_kernel(spec, U[i], V[j]), abs=1e-14)
-        G = grassmann_grad_sum(spec, U, V, W)
-        for i in range(4):
-            expected = sum(W[i, j] * _pair_grad(spec, U[i], V[j]) for j in range(5))
-            np.testing.assert_allclose(G[i], expected, atol=1e-13)
+            grad = wu[i] * sum(wv[j] * _pair_grad(spec, U[i], V[j]) for j in range(5))
+            np.testing.assert_allclose(G[i], grad, atol=1e-13)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from metamorph import (
     to_varifold,
     varifold_inner,
 )
-from metamorph import fshape
+from metamorph import fshape, kernels
 from metamorph import varifold as varifold_module
 from metamorph.kernels import radial_eval
+from metamorph.meshes import polyline
 
 from conftest import triangle_strip
 
@@ -331,3 +334,135 @@ def test_grad_fidelity_zero_at_minimum():
     gx, gf = grad_fidelity(fs, to_varifold(fs), K)
     assert np.abs(gx).max() < 1e-10
     assert np.abs(gf).max() < 1e-10
+
+
+def test_ambient_dimension_mismatch_has_one_message():
+    curve2 = polyline(np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]]), np.array([0.0, 1.0, 0.5]))
+    curve3 = polyline(np.array([[0.0, 0.0, 0.0], [0.5, 0.2, 0.1], [1.0, 0.0, 0.3]]))
+    target = to_varifold(curve3)
+    for call in (
+        lambda: fidelity(curve2, target, K),
+        lambda: grad_fidelity(curve2, target, K),
+        lambda: varifold_inner(to_varifold(curve2), target, K),
+    ):
+        with pytest.raises(ValueError, match="varifolds live in different ambient dimensions"):
+            call()
+
+
+# Brute-force double loops of the sweeps, with their closed-form profiles.
+TWO_GAUSS = RadialKernelSpec("gaussian", ((1.0, 0.4), (0.6, 0.15)))
+CAUCHY = RadialKernelSpec("cauchy", ((1.0, 0.35),))
+TILE_ROWS = 4
+
+
+def _radial(spec, u):
+    """(k(u), k'(u)) of one squared distance."""
+    k = dk = 0.0
+    for w, s in spec.terms:
+        a = u / (s * s)
+        if spec.family == "gaussian":
+            k += w * math.exp(-0.5 * a)
+            dk += -0.5 * w / (s * s) * math.exp(-0.5 * a)
+        else:
+            k += w / (1.0 + a)
+            dk += -w / (s * s) / (1.0 + a) ** 2
+    return k, dk
+
+
+def _frame(mode, u, v):
+    """(k_t, d k_t / du) of one pair of unit frames."""
+    dot = float(u @ v)
+    if mode == "unoriented_squared":
+        return dot**2, 2.0 * dot * v
+    if mode == "oriented_linear":
+        return dot, v
+    return 1.0, 0.0 * v
+
+
+def _loop_sums(a, cols, colw, kernels):
+    """sum_ij w_i c_j k(a_i, col_j) and its partials w.r.t. a's cell data."""
+    value = 0.0
+    dc, ds, du = np.zeros_like(a.centers), np.zeros(a.weights.size), np.zeros_like(a.frames)
+    dw = np.zeros(a.weights.size)
+    for i in range(a.weights.size):
+        for j in range(colw.size):
+            dx = a.centers[i] - cols.centers[j]
+            dsig = a.cell_signals[i] - cols.cell_signals[j]
+            kp, dkp = _radial(kernels.kp, float(dx @ dx))
+            kf, dkf = _radial(kernels.kf, dsig**2)
+            kt, dkt = _frame(kernels.kt.mode, a.frames[i], cols.frames[j])
+            wij = a.weights[i] * colw[j]
+            value += wij * kp * kf * kt
+            dc[i] += wij * 2.0 * dkp * kf * kt * dx
+            ds[i] += wij * kp * 2.0 * dkf * kt * dsig
+            du[i] += wij * kp * kf * dkt
+            dw[i] += colw[j] * kp * kf * kt
+    du -= np.sum(du * a.frames, axis=1)[:, None] * a.frames
+    return value, dc, ds, du, dw
+
+
+def _stack(a, b):
+    return DiscreteVarifold(
+        np.vstack([a.centers, b.centers]),
+        np.vstack([a.frames, b.frames]),
+        np.concatenate([a.weights, b.weights]),
+        np.concatenate([a.cell_signals, b.cell_signals]),
+    )
+
+
+def _walk(T, n, seed):
+    """Polyline of T segments wandering in R^n, with random signals."""
+    rng = np.random.default_rng(seed)
+    steps = 0.15 * rng.standard_normal((T, n)) + 0.1
+    pts = np.vstack([np.zeros(n), np.cumsum(steps, axis=0)])
+    return polyline(pts, rng.standard_normal(T + 1))
+
+
+def _rows_per_tile(monkeypatch, n_cols, n_buffers):
+    # the sweep's tiles then hold TILE_ROWS rows
+    monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * n_cols * n_buffers // 2)
+    assert kernels._tile_rows(10**6, n_cols, n_buffers) == TILE_ROWS
+
+
+SWEEP_KERNELS = [
+    VarifoldKernels(TWO_GAUSS, CAUCHY, GrassmannKernelSpec("unoriented_squared")),
+    VarifoldKernels(CAUCHY, TWO_GAUSS, GrassmannKernelSpec("oriented_linear")),
+    VarifoldKernels(TWO_GAUSS, TWO_GAUSS, GrassmannKernelSpec("constant")),
+]
+
+
+@pytest.mark.parametrize("kernels_", SWEEP_KERNELS, ids=["unoriented", "oriented", "constant"])
+@pytest.mark.parametrize("shape", ["surface", "curve"])
+@pytest.mark.parametrize("T", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 2])
+def test_tiled_sweeps_match_double_loop(kernels_, shape, T, monkeypatch):
+    if shape == "surface":
+        mu, nu = to_varifold(triangle_strip(T, seed=30 + T)), to_varifold(triangle_strip(6, seed=31))
+    else:
+        mu, nu = to_varifold(_walk(T, 2, 32 + T)), to_varifold(_walk(6, 2, 33))
+    both = _stack(mu, nu)
+    m = both.weights.size
+
+    # <mu, mu> - 2 <mu, nu>: one symmetric sweep over [mu; nu]
+    _rows_per_tile(monkeypatch, m, varifold_module._VALUE_BUFFERS)
+    parts = ((mu, 1.0), (nu, -2.0))
+    value = varifold_module._sweep_value(mu, parts, kernels_, sym=True)
+    colw = np.concatenate([mu.weights, -2.0 * nu.weights])
+    expected = _loop_sums(mu, both, colw, kernels_)[0]
+    assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    assert value == varifold_module._sweep_value(mu, parts, kernels_, sym=True)
+
+    # the symmetric self-term equals the full double sum
+    _rows_per_tile(monkeypatch, T, varifold_module._VALUE_BUFFERS)
+    self_term = varifold_inner(mu, mu, kernels_)
+    assert self_term == pytest.approx(_loop_sums(mu, mu, mu.weights, kernels_)[0], rel=1e-13)
+    assert self_term == varifold_inner(mu, mu, kernels_)
+
+    # the four per-cell partials, from one sweep over [mu; nu]
+    _rows_per_tile(monkeypatch, m, varifold_module._PARTIAL_BUFFERS)
+    parts = ((mu, 2.0), (nu, -2.0))
+    partials = varifold_module._sweep_partials(mu, parts, kernels_)
+    colw = np.concatenate([2.0 * mu.weights, -2.0 * nu.weights])
+    for got, want in zip(partials, _loop_sums(mu, both, colw, kernels_)[1:]):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * max(np.abs(want).max(), 1.0))
+    again = varifold_module._sweep_partials(mu, parts, kernels_)
+    assert all(np.array_equal(x, y) for x, y in zip(partials, again))
