@@ -12,9 +12,10 @@ momenta, so H at a sample is 1/2 <(p, pf), (dx, df)>, and a shot's energy
 and its gradient in (p0, pf) follow from the initial velocity. The
 trajectory keeps the velocity of every step's first flow-field evaluation.
 The fidelity's gradient is the exact
-discrete adjoint of the forward RK4 scheme: the forward pass records the stage
-points of every step, and the backward pass applies the transposed RK4 step
-at those same points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
+discrete adjoint of the forward RK4 scheme: a forward pass made with
+``keep_stages`` records the stage points of every step (a plain shot keeps
+none), and the backward pass applies the transposed RK4 step at those same
+points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
 stage needs one vector-Jacobian product dF(z)^T V of the flow field. Since
 F = J grad H with J the canonical symplectic map, dF^T V equals the
 Hessian-vector product Hess(H) . (-J V), computed by a central finite
@@ -57,12 +58,14 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Geodesic samples at t_k = k / n_steps, k = 0..n_steps, with the stages.
+    """Geodesic samples at t_k = k / n_steps, k = 0..n_steps, and the stages
+    of a shot made with ``keep_stages``.
 
-    ``stages[k]`` holds the (x, p) points at which the RK4 step from
-    ``states[k]`` to ``states[k + 1]`` evaluated the flow field after its
-    first stage (the first is ``states[k]`` itself). f does not enter the
-    flow field and pf is constant, so (x, p) fixes each stage.
+    ``stages`` is empty unless the shot kept its stages; then ``stages[k]``
+    holds the (x, p) points at which the RK4 step from ``states[k]`` to
+    ``states[k + 1]`` evaluated the flow field after its first stage (the
+    first is ``states[k]`` itself). f does not enter the flow field and pf
+    is constant, so (x, p) fixes each stage.
     ``velocities[k]`` is (dx, df) at ``states[k]``, the first stage of step
     k, for k < n_steps; ``energy`` is the geodesic energy computed from
     ``velocities[0]``.
@@ -147,20 +150,23 @@ def _rhs_blocks(
 
 
 def integrate_forward(
-    state0: ShootingState, template: DiscreteFshape, cfg: DynamicsConfig
+    state0: ShootingState,
+    template: DiscreteFshape,
+    cfg: DynamicsConfig,
+    *,
+    keep_stages: bool = False,
 ) -> Trajectory:
     """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
 
-    The trajectory keeps every step's stage points for the adjoint, and each
-    step's first-stage velocity for the Hamiltonian, the energy and its
-    gradient.
+    The trajectory keeps each step's first-stage velocity for the
+    Hamiltonian, the energy and its gradient, and with ``keep_stages`` every
+    step's stage points, which only the adjoint reads. ``states[0]`` is
+    ``state0`` itself.
     """
     dt = 1.0 / cfg.n_steps
     pf = state0.pf
-    x = state0.x.copy()
-    f = state0.f.copy()
-    p = state0.p.copy()
-    states = [ShootingState(x=x, f=f, p=p, pf=pf)]
+    x, f, p = state0.x, state0.f, state0.p
+    states = [state0]
     stages = []
     velocities = []
     for k in range(cfg.n_steps):
@@ -186,7 +192,8 @@ def integrate_forward(
         ):
             raise ShootingDiverged(f"non-finite state after {step}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
-        stages.append((z2, z3, z4))
+        if keep_stages:
+            stages.append((z2, z3, z4))
     return Trajectory(tuple(states), tuple(stages), tuple(velocities))
 
 
@@ -232,8 +239,14 @@ def integrate_adjoint_backward(
 
     Each step applies the transpose of the forward RK4 step, linearized at
     the stage points the forward pass recorded, so the result is the exact
-    gradient of the discrete objective (up to the FD of ``_vjp``).
+    gradient of the discrete objective (up to the FD of ``_vjp``). The
+    trajectory must come from ``integrate_forward(..., keep_stages=True)``.
     """
+    if len(traj.stages) != traj.n_steps:
+        raise ValueError(
+            "the adjoint needs the forward's stage points: "
+            "shoot with integrate_forward(..., keep_stages=True)"
+        )
     dt = 1.0 / traj.n_steps
     pf = traj.initial.pf
     lam = (end.X.copy(), end.F.copy(), end.Pvar.copy(), end.Pf.copy())
@@ -271,7 +284,7 @@ def euclidean_objective_gradient(
     cfg = problem.dynamics
     if trajectory is None:
         state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
-        trajectory = integrate_forward(state0, template, cfg)
+        trajectory = integrate_forward(state0, template, cfg, keep_stages=True)
     end_state = trajectory.final
     fs1 = template.with_(vertices=end_state.x, signals=end_state.f)
     gx, gf = grad_fidelity(fs1, problem.target, problem.fidelity_kernels)

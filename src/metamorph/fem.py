@@ -2,16 +2,18 @@
 
 Assembles the sparse symmetric positive definite matrices behind the L2 and
 H1 signal norms, solves the associated linear systems with
-Jacobi-preconditioned conjugate gradients, and differentiates the quadratic
-form w.r.t. vertex positions. Curves and surfaces share one formula, read
-from the volume gradients of the fshape's memoised ``cell_geometry`` record:
-G_i = d(vol)/d(x_i) = vol * grad(lambda_i), with lambda_i the barycentric
+Jacobi-preconditioned conjugate gradients (the lumped metric, a diagonal, by
+one division), and differentiates the quadratic form w.r.t. vertex
+positions. Curves and surfaces share one formula, read from the volume
+gradients of the fshape's memoised ``cell_geometry`` record: G_i =
+d(vol)/d(x_i) = vol * grad(lambda_i), with lambda_i the barycentric
 coordinate of cell vertex i. On a cell with vertex values h_t,
 
 * the mass form is vol * h_t^T M h_t, with M the one reference matrix of
   the scheme: (1 + delta_ij) / ((d+1)(d+2)) for P1, I / (d+1) for lumped
-  (assembled as the diagonal ``lumped_vertex_weights``). Its x-gradient at
-  vertex i is (h_t^T M h_t) G_i;
+  (assembled straight into a diagonal CSR matrix of
+  ``lumped_vertex_weights``). Its x-gradient at vertex i is
+  (h_t^T M h_t) G_i;
 * the stiffness form is vol * |g|^2, with g = sum_i h_i G_i / vol the
   gradient of the P1 interpolant, so its local matrix is G G^T / vol (the
   cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
@@ -58,9 +60,9 @@ class FunctionalMetric:
 def lumped_vertex_weights(fs: DiscreteFshape) -> np.ndarray:
     """Per-vertex share of adjacent cell volumes: 1/(d+1) of each cell."""
     geom = cell_geometry(fs)
-    weights = np.zeros(fs.n_vertices)
-    np.add.at(weights, fs.cells, (geom.volumes / (fs.dim_d + 1))[:, None])
-    return weights
+    m = fs.dim_d + 1
+    share = np.repeat(geom.volumes / m, m)
+    return np.bincount(fs.cells.ravel(), weights=share, minlength=fs.n_vertices)
 
 
 def _scatter_local(fs: DiscreteFshape, local: np.ndarray) -> sparse.csr_matrix:
@@ -94,7 +96,9 @@ def assemble_stiffness(fs: DiscreteFshape) -> sparse.csr_matrix:
 def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> sparse.csr_matrix:
     """The signal-metric matrix D(x): lumped or P1 mass, plus stiffness for H1."""
     if metric.scheme == "lumped":
-        return sparse.diags(lumped_vertex_weights(fs)).tocsr()
+        P = fs.n_vertices
+        index = np.arange(P + 1)
+        return sparse.csr_matrix((lumped_vertex_weights(fs), index[:-1], index), shape=(P, P))
     geom = cell_geometry(fs)
     local = geom.volumes[:, None, None] * _MASS_LOCAL[fs.dim_d]
     if metric.order == 1:
@@ -113,7 +117,9 @@ def solve_spd(
     rtol: float = SOLVER_RTOL,
     max_iters: int | None = None,
 ) -> np.ndarray:
-    """Solve A h = rhs for SPD A by Jacobi-preconditioned conjugate gradients.
+    """Solve A h = rhs for SPD A by Jacobi-preconditioned conjugate gradients,
+    or by one division when A is a diagonal with positive entries (the lumped
+    metric).
 
     Converges when ||A h - rhs|| <= rtol * ||rhs||. Raises ShootingDiverged
     for a non-finite right-hand side, on breakdown, and with the achieved
@@ -128,9 +134,13 @@ def solve_spd(
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return np.zeros(P)
+    diag = A.diagonal()
+    # P stored entries and P positive diagonal ones: nothing is off the diagonal.
+    if A.nnz == P and np.all(diag > 0):
+        return rhs / diag
     if max_iters is None:
         max_iters = 10 * P
-    inv_diag = 1.0 / A.diagonal()
+    inv_diag = 1.0 / diag
     x = np.zeros(P)
     r = rhs.copy()
     z = inv_diag * r

@@ -6,17 +6,24 @@ This module holds the pairwise routines that every pairwise sum uses:
 routine, for positions and signals alike, ``_profile`` the one formula for
 k(u) or k'(u), ``_profile_pair`` the one that gives both from the same exp
 (Gaussian) or quotient (Cauchy), ``offset_sum`` the one reduction of
-weighted pair offsets and ``_tile_rows`` the one row-tile size. The
-deformation sums (``kernel_conv``, ``quad_form_grad_x``) and the varifold
-sweeps run over row tiles whose buffers together hold about 2 * TILE_FLOATS
-floats: each tile's distances are turned into kernel values in place and
-reduced straight into its outputs, so a P x Q sum takes O(PQ) time and
-O(tile * Q) working memory, with no P x Q matrix and no P x Q x n
-difference tensor. The tiling depends only on the input shapes, so results
-are deterministic. Buffers are allocated per call and rows of every output
-are independent, so the functions are safe to call concurrently on shared
-inputs. Frame kernels take unit frames as given; ``DiscreteVarifold``
-validates them at construction.
+weighted pair offsets and ``_tiles`` the one routine that sets tile shapes.
+The deformation sums (``kernel_conv``, ``quad_form_grad_x``) and the
+varifold sweeps run over row tiles whose buffers together hold about 2 *
+TILE_FLOATS floats (or one row, if longer): each tile's distances are turned
+into kernel values in place and reduced straight into its outputs, so a P x
+Q sum takes O(PQ) time and O(TILE_FLOATS + Q) working memory, with no P x Q
+matrix and no P x Q x n difference tensor. Tiles of 2^15 pairs per buffer
+keep a call's buffers near 0.5 MB, well inside a 4 MB L2 cache next to the
+inputs and outputs; 2 MB buffers measured up to twice as slow. Self sums (y
+is x) are symmetric: the tile of rows [s, e) starts at its diagonal block,
+covering the columns [s, P), and the part right of that block is reduced a
+second time, transposed, into the rows [e, P), so each pair is evaluated
+once. As the columns shrink the tiles grow taller, so every tile holds about
+the same number of pairs. The tiling depends only on the input shapes and
+the tiles run in a fixed order, so results are deterministic. Buffers and
+outputs are allocated per call, so the functions are safe to call
+concurrently on shared inputs. Frame kernels take unit frames as given;
+``DiscreteVarifold`` validates them at construction.
 """
 
 from __future__ import annotations
@@ -152,29 +159,35 @@ def offset_sum(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return w.sum(axis=1)[:, None] * x - w @ y
 
 
-TILE_FLOATS = 1 << 18  # pairs per row tile: two 2 MB buffers per call
+TILE_FLOATS = 1 << 15  # pairs per tile buffer: two 256 kB buffers per call
 
 
-def _tile_rows(P: int, Q: int, n_buffers: int = 2) -> int:
+def _tile_rows(P: int, Q: int, n_buffers: int) -> int:
     """Rows per tile of a P x Q sweep whose n_buffers tile buffers together
     hold about 2 * TILE_FLOATS floats (TILE_FLOATS // Q rows for two)."""
     return max(1, min(P, 2 * TILE_FLOATS // (n_buffers * max(Q, 1))))
 
 
-def _profile_tiles(spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, deriv: bool):
-    """Yield (rows, k, scratch) over row tiles of x: k holds k(u) (or k'(u))
-    for |x[rows] - y|^2 and scratch is a free buffer of the same shape.
+def _tiles(P: int, m: int, n_buffers: int = 2, sym: bool = False):
+    """Yield (rows, first, buffers) over row tiles of a P-row, m-column sweep.
 
-    Both buffers are reused from one tile to the next.
+    ``first`` is the tile's first column: its diagonal block when ``sym``
+    (the columns open with the rows' own points), else 0. The n_buffers
+    buffers have shape (len(rows), m - first); they are views of per-call
+    arrays, reused from tile to tile. Each tile's height is ``_tile_rows``
+    of its own width, so symmetric tiles grow taller as their columns shrink
+    and every tile holds about the same number of pairs.
     """
-    P, Q = x.shape[0], y.shape[0]
-    height = _tile_rows(P, Q)
-    u_buf, t_buf = np.empty((height, Q)), np.empty((height, Q))
-    for start in range(0, P, height):
-        rows = slice(start, min(start + height, P))
-        n = rows.stop - start
-        u, t = u_buf[:n], t_buf[:n]
-        yield rows, _profile(spec, _sq_dists_into(x[rows], y, u, t), deriv), t
+    # A tile holds at most 2 * TILE_FLOATS // n_buffers pairs, or one row.
+    flat = np.empty((n_buffers, min(P * m, max(2 * TILE_FLOATS // n_buffers, m))))
+    start = 0
+    while start < P:
+        first = start if sym else 0
+        stop = start + _tile_rows(P - start, m - first, n_buffers)
+        shape = (stop - start, m - first)
+        n = shape[0] * shape[1]
+        yield slice(start, stop), first, [buf[:n].reshape(shape) for buf in flat]
+        start = stop
 
 
 def _check_points(x, y=None):
@@ -200,14 +213,27 @@ def _check_momenta(x, p):
 def kernel_conv(
     spec: RadialKernelSpec, x: np.ndarray, y: np.ndarray, alpha: np.ndarray
 ) -> np.ndarray:
-    """Kernel matrix-vector product: out[i] = sum_j k(|x_i - y_j|^2) alpha[j]."""
+    """Kernel matrix-vector product: out[i] = sum_j k(|x_i - y_j|^2) alpha[j].
+
+    When y is x, each pair is evaluated once: the tile of rows [s, e) covers
+    the columns [s, P), and the part right of its diagonal block also adds,
+    transposed, into the rows [e, P).
+    """
+    sym = y is x
     x, y = _check_points(x, y)
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != y.shape[0]:
         raise ValueError(f"alpha rows {alpha.shape[0]} != source points {y.shape[0]}")
-    out = np.empty((x.shape[0],) + alpha.shape[1:])
-    for rows, k, _ in _profile_tiles(spec, x, y, deriv=False):
-        np.matmul(k, alpha, out=out[rows])
+    P = x.shape[0]
+    out = (np.zeros if sym else np.empty)((P,) + alpha.shape[1:])
+    for rows, first, (k, t) in _tiles(P, y.shape[0], sym=sym):
+        _profile(spec, _sq_dists_into(x[rows], y[first:], k, t))
+        if not sym:
+            np.matmul(k, alpha, out=out[rows])
+            continue
+        out[rows] += k @ alpha[first:]
+        if rows.stop < P:
+            out[rows.stop :] += k[:, rows.stop - first :].T @ alpha[rows]
     return out
 
 
@@ -219,12 +245,20 @@ def quad_form(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> float:
 
 def quad_form_grad_x(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Exact gradient of quad_form w.r.t. the point positions x:
-    4 sum_l k'(|x_k - x_l|^2) (p_k . p_l) (x_k - x_l)."""
+    4 sum_l k'(|x_k - x_l|^2) (p_k . p_l) (x_k - x_l).
+
+    Each pair is evaluated once, on the symmetric tiles of ``kernel_conv``.
+    """
     x, p = _check_momenta(x, p)
-    out = np.empty_like(x)
-    for rows, dk, pp in _profile_tiles(spec, x, x, deriv=True):
-        dk *= np.matmul(p[rows], p.T, out=pp)
-        out[rows] = offset_sum(dk, x[rows], x)
+    P = x.shape[0]
+    out = np.zeros_like(x)
+    for rows, first, (w, pp) in _tiles(P, P, sym=True):
+        _profile(spec, _sq_dists_into(x[rows], x[first:], w, pp), deriv=True)
+        w *= np.matmul(p[rows], p[first:].T, out=pp)
+        out[rows] += offset_sum(w, x[rows], x[first:])
+        if rows.stop < P:
+            below = slice(rows.stop, P)
+            out[below] += offset_sum(w[:, rows.stop - first :].T, x[below], x[rows])
     out *= 4.0
     return out
 

@@ -21,6 +21,8 @@ state. ``objective`` returns the trajectory with J, and the descent keeps the
 trajectory of the accepted candidate: the gradient transports its adjoint
 backward along it, the next stage scores it under its rescaled fidelity
 kernels (the flow does not depend on them), and the result returns it.
+So the descent's shots keep their RK4 stage points for the adjoint, while
+``shoot``, which no gradient follows, keeps none.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def objective(
     J = energy + gamma_W * fidelity."""
     template = problem.template
     state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
-    traj = integrate_forward(state0, template, problem.dynamics)
+    traj = integrate_forward(state0, template, problem.dynamics, keep_stages=True)
     return (*_score(traj, problem), traj)
 
 
@@ -165,7 +167,8 @@ def _score(traj: Trajectory, problem: MatchProblem) -> tuple[float, float, float
 def shoot(
     source: DiscreteFshape, p0: np.ndarray, pf: np.ndarray, cfg: MatchConfig
 ) -> Trajectory:
-    """Forward geodesic from the source with the given momenta."""
+    """Forward geodesic from the source with the given momenta; it keeps no
+    stage points, so no adjoint can run on it."""
     state0 = ShootingState(x=source.vertices, f=source.signals, p=p0, pf=pf)
     return integrate_forward(state0, source, cfg.dynamics())
 
@@ -191,7 +194,8 @@ def match(
     step = cfg.step_init
     converged = False
     reason = "max iterations"
-    traj = shoot(source, p0, pf, cfg)
+    state0 = ShootingState(x=source.vertices, f=source.signals, p=p0, pf=pf)
+    traj = integrate_forward(state0, source, cfg.dynamics(), keep_stages=True)
     for stage in cfg.scale_schedule:
         problem = _problem(source, target_var, cfg, stage)
         J, energy, fid = _score(traj, problem)

@@ -34,7 +34,7 @@ from .kernels import (
     _profile,
     _profile_pair,
     _sq_dists_into,
-    _tile_rows,
+    _tiles,
 )
 
 UNIT_FRAME_TOL = 1e-8
@@ -127,24 +127,6 @@ def _columns(a: DiscreteVarifold, parts):
         np.concatenate([b.frames for b, _ in parts]),
         np.concatenate([scale * b.weights for b, scale in parts]),
     )
-
-
-def _tiles(T: int, m: int, n_buffers: int, sym: bool):
-    """Yield (rows, first, buffers) over row tiles of a T-row, m-column sweep.
-
-    ``first`` is the tile's first column: its diagonal block when ``sym``
-    (the columns open with the rows' own cells), else 0. The n_buffers
-    buffers have shape (len(rows), m - first) and are reused from tile to
-    tile.
-    """
-    height = _tile_rows(T, m, n_buffers)
-    flat = np.empty((n_buffers, height * m))
-    for start in range(0, T, height):
-        stop = min(start + height, T)
-        first = start if sym else 0
-        shape = (stop - start, m - first)
-        size = shape[0] * shape[1]
-        yield slice(start, stop), first, [buf[:size].reshape(shape) for buf in flat]
 
 
 def _sweep_value(a: DiscreteVarifold, parts, K: VarifoldKernels, sym: bool) -> float:

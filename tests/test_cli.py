@@ -433,3 +433,22 @@ def test_mismatched_dimensions_are_user_error(
     assert captured.err.startswith("error: ") and dims in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_shoot_output_is_byte_identical_between_runs(mesh_pair, config_path, tmp_path):
+    src_path, _ = mesh_pair
+    src = read_fshape(src_path)
+    rng = np.random.default_rng(3)
+    p0_path = tmp_path / "p0.txt"
+    pf_path = tmp_path / "pf.txt"
+    write_momenta(p0_path, 0.3 * rng.standard_normal(src.vertices.shape))
+    write_momenta(pf_path, 0.3 * rng.standard_normal(src.n_vertices))
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        args = ["shoot", str(src_path), "--p0", str(p0_path), "--pf", str(pf_path)]
+        assert main(args + ["--config", str(config_path), "--out", str(out)]) == 0
+        files = sorted((out / "trajectory").iterdir())
+        runs.append({f.name: f.read_bytes() for f in files})
+    assert "trajectory.csv" in runs[0] and len(runs[0]) == 8
+    assert runs[0] == runs[1]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -321,7 +323,7 @@ def test_adjoint_zero_end_state():
     fs = triangle_strip(4, seed=21)
     s0 = _random_state(fs, 22)
     cfg = _config()
-    traj = integrate_forward(s0, fs, cfg)
+    traj = integrate_forward(s0, fs, cfg, keep_stages=True)
     zero = AdjointState(
         X=np.zeros_like(s0.x),
         F=np.zeros(fs.n_vertices),
@@ -340,7 +342,7 @@ def test_adjoint_block_structure_signal_decoupled():
     p0 = 0.3 * rng.standard_normal(fs.vertices.shape)
     cfg = _config()
     s0 = ShootingState(fs.vertices, fs.signals, p0, np.zeros(fs.n_vertices))
-    traj = integrate_forward(s0, fs, cfg)
+    traj = integrate_forward(s0, fs, cfg, keep_stages=True)
     end = AdjointState(
         X=rng.standard_normal(fs.vertices.shape),
         F=np.zeros(fs.n_vertices),
@@ -351,6 +353,66 @@ def test_adjoint_block_structure_signal_decoupled():
     assert np.abs(out.F).max() < 1e-9
     assert np.abs(out.Pf).max() < 1e-9
     assert np.abs(out.X).max() > 0.0
+
+
+def test_plain_shot_keeps_no_stages():
+    # icosphere(3): P = 642. A plain shot keeps the states after the first
+    # (x, f, p: 7P floats each) and the first-stage velocities (dx, df: 4P
+    # floats each), 44P floats over 4 steps; its 12 stage points would add 72P.
+    fs = icosphere(3, radius=0.6)
+    P = fs.n_vertices
+    cfg = DynamicsConfig(1.0, 5.0, gaussian(0.3), LUMPED, n_steps=4)
+    s0 = _random_state(fs, 40, amp=0.1)
+    integrate_forward(s0, fs, cfg)  # first-call allocations stay out of the count
+    kept = {}
+    for keep in (False, True):
+        tracemalloc.start()
+        try:
+            traj = integrate_forward(s0, fs, cfg, keep_stages=keep)
+            kept[keep], _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states[0] is s0
+        assert len(traj.stages) == (cfg.n_steps if keep else 0)
+    assert kept[False] < 8 * P * 56
+    assert kept[True] > 8 * P * (44 + 72)
+    with pytest.raises(ValueError, match="keep_stages"):
+        integrate_adjoint_backward(
+            integrate_forward(s0, fs, cfg), AdjointState(s0.x, s0.f, s0.p, s0.pf), fs, cfg
+        )
+
+
+def test_descent_shots_keep_their_stages(monkeypatch):
+    # every shot that a gradient may follow keeps its stage points
+    src = triangle_strip(4, seed=41)
+    tgt = triangle_strip(4, seed=42)
+    cfg = _config(n_steps=3)
+    problem = MatchProblem(src, to_varifold(tgt), FID_KERNELS, 3.0, cfg)
+    state0 = _random_state(src, 43, amp=0.1)
+    assert len(objective(state0.p, state0.pf, problem)[3].stages) == cfg.n_steps
+
+    shots = []
+    original = dynamics.integrate_forward
+
+    def recording(*args, **kw):
+        shots.append(original(*args, **kw))
+        return shots[-1]
+
+    monkeypatch.setattr(dynamics, "integrate_forward", recording)
+    euclidean_objective_gradient(state0.p, state0.pf, problem)
+    assert [len(t.stages) for t in shots] == [cfg.n_steps]
+    # with no iteration, match returns its opening shot
+    match_cfg = MatchConfig(
+        gamma_V=1.0,
+        gamma_f=2.0,
+        gamma_W=3.0,
+        deformation_kernel=KERNEL,
+        fidelity_kernels=FID_KERNELS,
+        metric=LUMPED,
+        n_steps=3,
+        scale_schedule=(ScaleStage(1.0, 1.0, 0),),
+    )
+    assert len(match(src, tgt, match_cfg).trajectory.stages) == cfg.n_steps
 
 
 def _gradient_fd_worst(problem, p0, pf, directions=10, eps=1e-5, seed=0):
@@ -404,7 +466,7 @@ def test_trajectory_records_rk4_stages():
     fs = triangle_strip(6, seed=34)
     s0 = _random_state(fs, 35, amp=0.5)
     cfg = _config(metric=H1, n_steps=3)
-    traj = integrate_forward(s0, fs, cfg)
+    traj = integrate_forward(s0, fs, cfg, keep_stages=True)
     assert len(traj.stages) == cfg.n_steps
     dt = 1.0 / cfg.n_steps
     for k, s in enumerate(traj.states[:-1]):
@@ -458,7 +520,7 @@ def test_gradient_reuses_given_trajectory(metric):
     cfg = _config(metric=metric, n_steps=4)
     problem = MatchProblem(src, to_varifold(tgt), FID_KERNELS, 3.0, cfg)
     state0 = _random_state(src, 33, amp=0.15)
-    traj = integrate_forward(state0, src, cfg)
+    traj = integrate_forward(state0, src, cfg, keep_stages=True)
     given = euclidean_objective_gradient(state0.p, state0.pf, problem, trajectory=traj)
     shot = euclidean_objective_gradient(state0.p, state0.pf, problem)
     for a, b in zip(given, shot):

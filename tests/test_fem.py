@@ -174,6 +174,15 @@ def test_solve_diagonal_is_division():
     np.testing.assert_allclose(h, rhs / D.diagonal(), rtol=1e-12)
 
 
+def test_lumped_solve_divides_by_the_weights():
+    # a lumped metric is a diagonal: solve_spd divides, bit for bit
+    fs = jittered_grid(16)
+    D = assemble_metric(fs, L2_LUMPED)
+    assert D.nnz == fs.n_vertices
+    rhs = np.random.default_rng(17).standard_normal(fs.n_vertices)
+    assert np.array_equal(solve_spd(D, rhs), rhs / lumped_vertex_weights(fs))
+
+
 def test_solve_round_trip():
     fs = jittered_grid(9)
     D = assemble_metric(fs, H1)

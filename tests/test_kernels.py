@@ -203,6 +203,40 @@ def test_tiled_quad_form_grad_matches_double_loop(spec, P, monkeypatch):
     assert np.array_equal(out, quad_form_grad_x(spec, x, p))
 
 
+@pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
+@pytest.mark.parametrize("P", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 2])
+def test_symmetric_tiles_match_double_loop(spec, P, monkeypatch):
+    # The self sums evaluate each pair once: the first tile holds TILE_ROWS
+    # rows, and past it the part right of each diagonal block is also added,
+    # transposed, into the rows below that block.
+    rng = np.random.default_rng(17 + P)
+    x = 0.2 * rng.standard_normal((P, 3))
+    alpha = rng.standard_normal((P, 3))
+    monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * P)
+    tiles = [rows for rows, _, _ in kernels._tiles(P, P, sym=True)]
+    assert tiles[0] == slice(0, min(P, TILE_ROWS))
+    assert (len(tiles) > 1) == (P > TILE_ROWS)
+
+    k = [[_profile_loop(spec, _sq(x[i], x[j])) for j in range(P)] for i in range(P)]
+    dk = [[_profile_loop(spec, _sq(x[i], x[j]), deriv=True) for j in range(P)] for i in range(P)]
+    conv = np.array([sum(k[i][j] * alpha[j] for j in range(P)) for i in range(P)])
+    force = 4.0 * np.array(
+        [sum(dk[i][j] * (alpha[i] @ alpha[j]) * (x[i] - x[j]) for j in range(P)) for i in range(P)]
+    )
+    out = kernel_conv(spec, x, x, alpha)
+    np.testing.assert_allclose(out, conv, rtol=1e-12, atol=1e-13)
+    general = kernel_conv(spec, x, x.copy(), alpha)
+    np.testing.assert_allclose(out, general, rtol=1e-13, atol=1e-13 * np.abs(general).max())
+    assert np.array_equal(out, kernel_conv(spec, x, x, alpha))
+    grad = quad_form_grad_x(spec, x, alpha)
+    np.testing.assert_allclose(grad, force, rtol=1e-12, atol=1e-13)
+    assert np.array_equal(grad, quad_form_grad_x(spec, x, alpha))
+    # a vector of weights takes the same symmetric path
+    np.testing.assert_allclose(
+        kernel_conv(spec, x, x, alpha[:, 0]), conv[:, 0], rtol=1e-12, atol=1e-13
+    )
+
+
 def test_offset_sum_matches_double_loop():
     rng = np.random.default_rng(13)
     for n in (1, 3):

@@ -198,9 +198,9 @@ def test_match_shoots_each_momenta_once(monkeypatch):
     shots = []
     original = metamorph.dynamics.integrate_forward
 
-    def recording(state0, template, cfg):
+    def recording(state0, template, cfg, **kw):
         shots.append(state0.p.tobytes() + state0.pf.tobytes())
-        return original(state0, template, cfg)
+        return original(state0, template, cfg, **kw)
 
     for module in (metamorph.dynamics, metamorph.matching):
         monkeypatch.setattr(module, "integrate_forward", recording)
@@ -221,18 +221,18 @@ def _patch_first_candidate(monkeypatch, broken_shot):
     original = metamorph.matching.integrate_forward
     seen = []
 
-    def shot(state0, template, cfg):
+    def shot(state0, template, cfg, **kw):
         seen.append(len(seen))
         if len(seen) == 2:
-            return broken_shot(original, state0, template, cfg)
-        return original(state0, template, cfg)
+            return broken_shot(original, state0, template, cfg, **kw)
+        return original(state0, template, cfg, **kw)
 
     monkeypatch.setattr(metamorph.matching, "integrate_forward", shot)
     return seen
 
 
 def test_match_line_search_propagates_other_errors(monkeypatch):
-    def planted(original, state0, template, cfg):
+    def planted(original, state0, template, cfg, **kw):
         raise ValueError("planted failure")
 
     _patch_first_candidate(monkeypatch, planted)
@@ -246,11 +246,11 @@ def test_match_line_search_propagates_other_errors(monkeypatch):
 def test_match_rejects_diverging_candidate(monkeypatch):
     caught = []
 
-    def diverging(original, state0, template, cfg):
+    def diverging(original, state0, template, cfg, **kw):
         # a non-finite signal momentum makes the metric solve fail
         nan_pf = np.full_like(state0.pf, np.nan)
         try:
-            return original(ShootingState(state0.x, state0.f, state0.p, nan_pf), template, cfg)
+            return original(ShootingState(state0.x, state0.f, state0.p, nan_pf), template, cfg, **kw)
         except ShootingDiverged as exc:
             caught.append(exc)
             raise
