@@ -233,6 +233,8 @@ def _cmd_sphere_oracle(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.directions < 1:
+        raise UserError(f"--directions must be at least 1, got {args.directions}")
     source, target = _load_pair(args)
     cfg = load_config(args.config)
     problem = MatchProblem(

@@ -28,6 +28,7 @@ central difference; closed-form vector-Jacobian products would remove it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,12 +69,19 @@ class Trajectory:
     is constant, so (x, p) fixes each stage.
     ``velocities[k]`` is (dx, df) at ``states[k]``, the first stage of step
     k, for k < n_steps; ``energy`` is the geodesic energy computed from
-    ``velocities[0]``.
+    ``velocities[0]``. ``template`` is the mesh the shot deformed.
     """
 
     states: tuple[ShootingState, ...]
     stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
     velocities: tuple[tuple[np.ndarray, np.ndarray], ...]
+    template: DiscreteFshape
+
+    @cached_property
+    def end(self) -> DiscreteFshape:
+        """The final state as an fshape, built once and kept, so the fidelity
+        and its gradient measure its cells once."""
+        return self.template.with_(vertices=self.final.x, signals=self.final.f)
 
     def hamiltonian(self, k: int) -> float:
         """H at ``states[k]`` for k < n_steps, from its recorded velocity."""
@@ -194,7 +202,7 @@ def integrate_forward(
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         if keep_stages:
             stages.append((z2, z3, z4))
-    return Trajectory(tuple(states), tuple(stages), tuple(velocities))
+    return Trajectory(tuple(states), tuple(stages), tuple(velocities), template)
 
 
 def _vjp(
@@ -285,9 +293,7 @@ def euclidean_objective_gradient(
     if trajectory is None:
         state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
         trajectory = integrate_forward(state0, template, cfg, keep_stages=True)
-    end_state = trajectory.final
-    fs1 = template.with_(vertices=end_state.x, signals=end_state.f)
-    gx, gf = grad_fidelity(fs1, problem.target, problem.fidelity_kernels)
+    gx, gf = grad_fidelity(trajectory.end, problem.target, problem.fidelity_kernels)
     end = AdjointState(
         X=problem.gamma_W * gx,
         F=problem.gamma_W * gf,

@@ -1,17 +1,18 @@
 """Finite-element signal metrics on polyhedral meshes.
 
-Assembles the sparse symmetric positive definite matrices behind the L2 and
-H1 signal norms, solves the associated linear systems with
-Jacobi-preconditioned conjugate gradients (the lumped metric, a diagonal, by
-one division), and differentiates the quadratic form w.r.t. vertex
-positions. Curves and surfaces share one formula, read from the volume
-gradients of the fshape's memoised ``cell_geometry`` record: G_i =
-d(vol)/d(x_i) = vol * grad(lambda_i), with lambda_i the barycentric
-coordinate of cell vertex i. On a cell with vertex values h_t,
+Holds the SPD matrices behind the L2 and H1 signal norms as their per-cell
+blocks, never assembled, and multiplies element by element (Hughes, Levit &
+Winget, 1983). Solves the associated linear systems with Jacobi-preconditioned
+conjugate gradients (the lumped metric, a diagonal, by one division), and
+differentiates the quadratic form w.r.t. vertex positions. Curves and surfaces
+share one formula, read from the volume gradients of the fshape's memoised
+``cell_geometry`` record: G_i = d(vol)/d(x_i) = vol * grad(lambda_i), with
+lambda_i the barycentric coordinate of cell vertex i. On a cell with vertex
+values h_t,
 
 * the mass form is vol * h_t^T M h_t, with M the one reference matrix of
   the scheme: (1 + delta_ij) / ((d+1)(d+2)) for P1, I / (d+1) for lumped
-  (assembled straight into a diagonal CSR matrix of
+  (held as the blocks' diagonals, whose scatter is
   ``lumped_vertex_weights``). Its x-gradient at vertex i is
   (h_t^T M h_t) G_i;
 * the stiffness form is vol * |g|^2, with g = sum_i h_i G_i / vol the
@@ -19,7 +20,7 @@ coordinate of cell vertex i. On a cell with vertex values h_t,
   cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
   x-gradient at vertex i is |g|^2 G_i - 2 (G_i . g) g.
 
-The H1 metric scatters the summed mass and stiffness locals once.
+The H1 metric holds the summed mass and stiffness locals.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .fshape import CellGeometry, DiscreteFshape, ShootingDiverged, cell_geometry
 
@@ -57,25 +57,40 @@ class FunctionalMetric:
             raise ValueError("order-1 metric requires the p1 scheme")
 
 
+@dataclass(frozen=True)
+class CellMatrix:
+    """A P x P matrix held as the sum of its per-cell blocks: ``blocks[t]``
+    couples the vertices ``cells[t]``, as (T, m, m) local matrices or (T, m)
+    diagonals (the lumped metric). ``A @ v`` gathers ``v[cells]``, applies
+    the blocks and scatters the sums back with ``np.bincount``.
+    """
+
+    cells: np.ndarray
+    blocks: np.ndarray
+    n_vertices: int
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.blocks.ndim == 2
+
+    def _scatter(self, local: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cells.ravel(), weights=local.ravel(), minlength=self.n_vertices)
+
+    def diagonal(self) -> np.ndarray:
+        return self._scatter(
+            self.blocks if self.is_diagonal else np.diagonal(self.blocks, axis1=1, axis2=2)
+        )
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        vc = v[self.cells]
+        if self.is_diagonal:
+            return self._scatter(self.blocks * vc)
+        return self._scatter(np.einsum("tij,tj->ti", self.blocks, vc))
+
+
 def lumped_vertex_weights(fs: DiscreteFshape) -> np.ndarray:
     """Per-vertex share of adjacent cell volumes: 1/(d+1) of each cell."""
-    geom = cell_geometry(fs)
-    m = fs.dim_d + 1
-    share = np.repeat(geom.volumes / m, m)
-    return np.bincount(fs.cells.ravel(), weights=share, minlength=fs.n_vertices)
-
-
-def _scatter_local(fs: DiscreteFshape, local: np.ndarray) -> sparse.csr_matrix:
-    """Assemble per-cell (T, m, m) local matrices into a global sparse matrix."""
-    m = fs.dim_d + 1
-    T = fs.n_cells
-    rows = np.broadcast_to(fs.cells[:, :, None], (T, m, m))
-    cols = np.broadcast_to(fs.cells[:, None, :], (T, m, m))
-    A = sparse.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(fs.n_vertices, fs.n_vertices),
-    )
-    return A.tocsr()
+    return assemble_metric(fs, FunctionalMetric(0, "lumped")).diagonal()
 
 
 def _stiffness_local(geom: CellGeometry) -> np.ndarray:
@@ -84,49 +99,48 @@ def _stiffness_local(geom: CellGeometry) -> np.ndarray:
     return (G @ G.transpose(0, 2, 1)) / geom.volumes[:, None, None]
 
 
-def assemble_stiffness(fs: DiscreteFshape) -> sparse.csr_matrix:
+def assemble_stiffness(fs: DiscreteFshape) -> CellMatrix:
     """Stiffness matrix of the cell-constant interpolant gradient.
 
     Quadratic form value: sum over cells of volume * |grad f_tilde|^2, with
     the gradient taken in the tangent space of each cell.
     """
-    return _scatter_local(fs, _stiffness_local(cell_geometry(fs)))
+    return CellMatrix(fs.cells, _stiffness_local(cell_geometry(fs)), fs.n_vertices)
 
 
-def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> sparse.csr_matrix:
+def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> CellMatrix:
     """The signal-metric matrix D(x): lumped or P1 mass, plus stiffness for H1."""
-    if metric.scheme == "lumped":
-        P = fs.n_vertices
-        index = np.arange(P + 1)
-        return sparse.csr_matrix((lumped_vertex_weights(fs), index[:-1], index), shape=(P, P))
     geom = cell_geometry(fs)
+    m = fs.dim_d + 1
+    if metric.scheme == "lumped":
+        return CellMatrix(fs.cells, np.repeat(geom.volumes[:, None] / m, m, axis=1), fs.n_vertices)
     local = geom.volumes[:, None, None] * _MASS_LOCAL[fs.dim_d]
     if metric.order == 1:
         local = local + _stiffness_local(geom)
-    return _scatter_local(fs, local)
+    return CellMatrix(fs.cells, local, fs.n_vertices)
 
 
-def quadratic_form(A: sparse.spmatrix, f: np.ndarray) -> float:
+def quadratic_form(A: CellMatrix, f: np.ndarray) -> float:
     f = np.asarray(f, dtype=float)
     return float(f @ (A @ f))
 
 
 def solve_spd(
-    A: sparse.spmatrix,
+    A: CellMatrix,
     rhs: np.ndarray,
     rtol: float = SOLVER_RTOL,
     max_iters: int | None = None,
 ) -> np.ndarray:
     """Solve A h = rhs for SPD A by Jacobi-preconditioned conjugate gradients,
-    or by one division when A is a diagonal with positive entries (the lumped
-    metric).
+    or by one division when A's blocks are diagonal with positive sums (the
+    lumped metric).
 
     Converges when ||A h - rhs|| <= rtol * ||rhs||. Raises ShootingDiverged
     for a non-finite right-hand side, on breakdown, and with the achieved
     residual if the iteration cap (default 10 * P) is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
-    P = A.shape[0]
+    P = A.n_vertices
     if rhs.shape != (P,):
         raise ValueError(f"rhs shape {rhs.shape} != ({P},)")
     if not np.all(np.isfinite(rhs)):
@@ -135,8 +149,7 @@ def solve_spd(
     if b_norm == 0.0:
         return np.zeros(P)
     diag = A.diagonal()
-    # P stored entries and P positive diagonal ones: nothing is off the diagonal.
-    if A.nnz == P and np.all(diag > 0):
+    if A.is_diagonal and np.all(diag > 0):
         return rhs / diag
     if max_iters is None:
         max_iters = 10 * P

@@ -31,7 +31,7 @@ import numpy as np
 from .fem import FunctionalMetric
 from .fshape import DiscreteFshape
 from .kernels import GrassmannKernelSpec, RadialKernelSpec
-from .matching import MatchConfig, ScaleStage
+from .matching import MatchConfig, ScaleStage, digits_preset
 from .varifold import VarifoldKernels
 
 FLOAT_FMT = "%.17g"
@@ -445,26 +445,6 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
 # JSON configuration
 
 
-DEFAULT_CONFIG: dict = {
-    "gamma_V": 1.0,
-    "gamma_f": 1.0,
-    "gamma_W": 1.0,
-    "deformation_kernel": {
-        "family": "gaussian",
-        "terms": [{"weight": 1.0, "sigma": 0.2}, {"weight": 1.0, "sigma": 0.1}],
-    },
-    "fidelity": {"sigma_p": 0.05, "sigma_f": 0.7, "kt_mode": "unoriented_squared"},
-    "metric": {"s": 0, "scheme": "lumped"},
-    "n_steps": 10,
-    "schedule": [
-        {"scale_p": 2.0, "scale_f": 2.0, "iters": 100},
-        {"scale_p": 1.0, "scale_f": 1.0, "iters": 100},
-    ],
-    "step_init": 1.0,
-    "grad_tol": 1e-6,
-}
-
-
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -572,6 +552,9 @@ def config_to_dict(cfg: MatchConfig) -> dict:
     }
 
 
+DEFAULT_CONFIG: dict = config_to_dict(digits_preset())
+
+
 # ---------------------------------------------------------------------------
 # run manifest
 
@@ -600,14 +583,11 @@ def file_sha256(path) -> str:
 def tool_versions() -> dict:
     import platform
 
-    import scipy
-
     from . import __version__
 
     return {
         "metamorph": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 

@@ -158,9 +158,7 @@ def objective(
 
 def _score(traj: Trajectory, problem: MatchProblem) -> tuple[float, float, float]:
     """(J, energy, fidelity) of a shot."""
-    end = traj.final
-    fs1 = problem.template.with_(vertices=end.x, signals=end.f)
-    fid = fidelity(fs1, problem.target, problem.fidelity_kernels)
+    fid = fidelity(traj.end, problem.target, problem.fidelity_kernels)
     return traj.energy + problem.gamma_W * fid, traj.energy, fid
 
 

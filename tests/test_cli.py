@@ -283,6 +283,18 @@ def test_gradcheck_exit_code(mesh_pair, config_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("directions", ["0", "-3"])
+def test_gradcheck_refuses_fewer_than_one_direction(directions, mesh_pair, config_path, capsys):
+    src_path, tgt_path = mesh_pair
+    code = main(
+        ["gradcheck", str(src_path), str(tgt_path), "--config", str(config_path), "--directions", directions]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--directions" in captured.err
+    assert "max relative gradient error" not in captured.out
+
+
 def test_unknown_config_key_is_user_error(mesh_pair, tmp_path, capsys):
     src_path, tgt_path = mesh_pair
     bad = tmp_path / "bad.json"

@@ -159,6 +159,28 @@ def test_rhs_evaluation_measures_cells_once(metric, monkeypatch):
     assert len(measured) == 1
 
 
+def test_objective_and_gradient_measure_the_end_state_once(monkeypatch):
+    # the fidelity and its gradient read one fshape of the shot's end state
+    measured = []
+    compute = fshape._compute_geometry
+    monkeypatch.setattr(
+        fshape, "_compute_geometry", lambda fs: measured.append(fs) or compute(fs)
+    )
+    src = triangle_strip(4, seed=38)
+    cfg = _config(metric=H1, n_steps=3)
+    problem = MatchProblem(src, to_varifold(triangle_strip(4, seed=39)), FID_KERNELS, 3.0, cfg)
+    state0 = _random_state(src, 40)
+    _, _, _, traj = objective(state0.p, state0.pf, problem)
+    euclidean_objective_gradient(state0.p, state0.pf, problem, trajectory=traj)
+    end = traj.final
+    at_end = [
+        fs
+        for fs in measured
+        if np.array_equal(fs.vertices, end.x) and np.array_equal(fs.signals, end.f)
+    ]
+    assert len(at_end) == 1
+
+
 @pytest.mark.parametrize("metric", [LUMPED, FunctionalMetric(0, "p1"), H1])
 def test_forward_rhs_is_minus_hamiltonian_gradient(metric):
     # dp/dt must equal -dH/dx: checked against central FD of the Hamiltonian

@@ -5,6 +5,7 @@ import pytest
 
 from metamorph import DiscreteFshape, DynamicsConfig, ShootingState, integrate_forward
 from metamorph.fileio import (
+    DEFAULT_CONFIG,
     UserError,
     config_from_dict,
     config_to_dict,
@@ -15,6 +16,7 @@ from metamorph.fileio import (
     write_momenta,
     write_trajectory,
 )
+from metamorph.matching import digits_preset
 
 from conftest import triangle_strip
 
@@ -246,6 +248,11 @@ def test_write_trajectory_assembles_one_metric(tmp_path, monkeypatch):
     )
     write_trajectory(tmp_path / "geo", fs, traj, cfg)
     assert len(calls) == 1
+
+
+def test_default_config_is_the_digits_preset():
+    assert config_to_dict(digits_preset()) == DEFAULT_CONFIG
+    assert config_from_dict({}) == digits_preset()
 
 
 def test_config_round_trip_and_unknown_keys(tmp_path):
