@@ -13,16 +13,20 @@ and its gradient in (p0, pf) follow from the initial velocity. The
 trajectory keeps the velocity of every step's first flow-field evaluation.
 The fidelity's gradient is the exact
 discrete adjoint of the forward RK4 scheme: a forward pass made with
-``keep_stages`` records the stage points of every step (a plain shot keeps
-none), and the backward pass applies the transposed RK4 step at those same
-points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
-stage needs one vector-Jacobian product dF(z)^T V of the flow field. Since
-F = J grad H with J the canonical symplectic map, dF^T V equals the
-Hessian-vector product Hess(H) . (-J V), computed by a central finite
-difference of grad H along that single direction (two flow-field evaluations
-per call). The difference step is the fixed relative step FD_STEP, the cube
-root of machine epsilon, which balances truncation against rounding for a
-central difference; closed-form vector-Jacobian products would remove it.
+``keep_stages`` records the stage points of every step, and h = D(x)^-1 pf
+at each of them (a plain shot keeps none), and the backward pass applies the
+transposed RK4 step at those same points (Sanz-Serna, SIAM Review 58(1),
+2016). Each transposed stage needs one vector-Jacobian product dF(z)^T V of
+the flow field. Since F = J grad H with J the canonical symplectic map,
+dF^T V equals the Hessian-vector product Hess(H) . (-J V): one forward-mode
+derivative of the flow field along w = -J V, in closed form (Vialard,
+Risser, Rueckert & Cotter, IJCV 2012). Its kernel part is one symmetric
+tiled pass, ``kernel_tangent``; its signal part assembles D(x) once and
+solves once for dh = D^-1 (w_pf - dD[w_x] h), then differentiates the
+metric's form gradient, both from one set of per-cell terms
+(``metric_tangent``).
+So an adjoint step costs four such products and no flow-field evaluation,
+and the gradient is exact for the discrete objective.
 """
 
 from __future__ import annotations
@@ -32,12 +36,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import FunctionalMetric, assemble_metric, metric_form_grad_x, solve_spd
+from .fem import (
+    FunctionalMetric,
+    assemble_metric,
+    metric_form_grad_x,
+    metric_tangent,
+    solve_spd,
+)
 from .fshape import AdjointState, DiscreteFshape, ShootingDiverged, ShootingState
-from .kernels import RadialKernelSpec, kernel_conv, quad_form, quad_form_grad_x
+from .kernels import (
+    RadialKernelSpec,
+    kernel_conv,
+    kernel_tangent,
+    quad_form,
+    quad_form_grad_x,
+)
 from .varifold import DiscreteVarifold, VarifoldKernels, grad_fidelity
-
-FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -66,7 +80,8 @@ class Trajectory:
     holds the (x, p) points at which the RK4 step from ``states[k]`` to
     ``states[k + 1]`` evaluated the flow field after its first stage (the
     first is ``states[k]`` itself). f does not enter the flow field and pf
-    is constant, so (x, p) fixes each stage.
+    is constant, so (x, p) fixes each stage. ``solves[k]`` then holds
+    h = D(x)^-1 pf at the four stages of step k, the first at ``states[k]``.
     ``velocities[k]`` is (dx, df) at ``states[k]``, the first stage of step
     k, for k < n_steps; ``energy`` is the geodesic energy computed from
     ``velocities[0]``. ``template`` is the mesh the shot deformed.
@@ -74,6 +89,7 @@ class Trajectory:
 
     states: tuple[ShootingState, ...]
     stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
+    solves: tuple[tuple[np.ndarray, ...], ...]
     velocities: tuple[tuple[np.ndarray, np.ndarray], ...]
     template: DiscreteFshape
 
@@ -85,9 +101,8 @@ class Trajectory:
 
     def hamiltonian(self, k: int) -> float:
         """H at ``states[k]`` for k < n_steps, from its recorded velocity."""
-        # H is quadratic in (p, pf) and (dx, df) = dH/d(p, pf): H = 1/2 <(p, pf), (dx, df)>
-        (dx, df), s = self.velocities[k], self.states[k]
-        return 0.5 * (float(np.sum(s.p * dx)) + float(s.pf @ df))
+        s = self.states[k]
+        return _hamiltonian(s.p, s.pf, *self.velocities[k])
 
     @property
     def energy(self) -> float:
@@ -125,6 +140,12 @@ class MatchProblem:
             raise ValueError("gamma_W must be nonnegative")
 
 
+def _hamiltonian(p: np.ndarray, pf: np.ndarray, dx: np.ndarray, df: np.ndarray) -> float:
+    """H from the momenta and the velocity (dx, df) = dH/d(p, pf): H is
+    quadratic in (p, pf), so H = 1/2 <(p, pf), (dx, df)>."""
+    return 0.5 * (float(np.sum(p * dx)) + float(pf @ df))
+
+
 def reduced_hamiltonian(
     state: ShootingState, template: DiscreteFshape, cfg: DynamicsConfig
 ) -> float:
@@ -142,7 +163,8 @@ def _rhs_blocks(
     p: np.ndarray,
     pf: np.ndarray,
 ):
-    """Time derivatives (dx, df, dp); dpf is identically zero.
+    """Time derivatives (dx, df, dp), and h = D(x)^-1 pf, which the adjoint
+    linearizes at; dpf is identically zero.
 
     One fshape per state, so D(x) and its form gradient share one
     ``cell_geometry`` record.
@@ -154,7 +176,29 @@ def _rhs_blocks(
     df = h / cfg.gamma_f
     dp = -quad_form_grad_x(cfg.kernel, x, p) / (2.0 * cfg.gamma_V)
     dp += metric_form_grad_x(fs_x, cfg.metric, h) / (2.0 * cfg.gamma_f)
-    return dx, df, dp
+    return dx, df, dp, h
+
+
+def _rhs_tangent(
+    template: DiscreteFshape,
+    cfg: DynamicsConfig,
+    x: np.ndarray,
+    p: np.ndarray,
+    h: np.ndarray,
+    w: tuple[np.ndarray, np.ndarray, np.ndarray],
+):
+    """Derivative of ``_rhs_blocks``' (dx, df, dp) at (x, p), where
+    h = D(x)^-1 pf, along w = (wx, wp, wpf); one assembly and one solve.
+    """
+    wx, wp, wpf = w
+    fs_x = template.with_(vertices=x)
+    D = assemble_metric(fs_x, cfg.metric)
+    tangent = metric_tangent(fs_x, cfg.metric, h, wx)
+    dh = solve_spd(D, wpf - tangent.dD_h)
+    dconv, dgrad = kernel_tangent(cfg.kernel, x, p, wx, wp)
+    ddp = -dgrad / (2.0 * cfg.gamma_V)
+    ddp += tangent.form_grad_x(dh) / (2.0 * cfg.gamma_f)
+    return dconv / cfg.gamma_V, dh / cfg.gamma_f, ddp
 
 
 def integrate_forward(
@@ -163,33 +207,40 @@ def integrate_forward(
     cfg: DynamicsConfig,
     *,
     keep_stages: bool = False,
-) -> Trajectory:
+    energy_bound: float | None = None,
+) -> Trajectory | None:
     """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
 
     The trajectory keeps each step's first-stage velocity for the
     Hamiltonian, the energy and its gradient, and with ``keep_stages`` every
-    step's stage points, which only the adjoint reads. ``states[0]`` is
-    ``state0`` itself.
+    step's stage points and their h = D(x)^-1 pf, which only the adjoint
+    reads. ``states[0]`` is ``state0`` itself. With ``energy_bound``, a shot
+    whose energy (read from its first flow-field evaluation) is at or above
+    the bound stops there and returns None.
     """
     dt = 1.0 / cfg.n_steps
     pf = state0.pf
     x, f, p = state0.x, state0.f, state0.p
     states = [state0]
     stages = []
+    solves = []
     velocities = []
     for k in range(cfg.n_steps):
         step = f"step {k + 1} of {cfg.n_steps}"
         # Overflow is left to the finiteness check below, which names the step.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ax1, af1, ap1 = _rhs_blocks(template, cfg, x, p, pf)
+                ax1, af1, ap1, h1 = _rhs_blocks(template, cfg, x, p, pf)
                 velocities.append((ax1, af1))
+                if energy_bound is not None and k == 0:
+                    if _hamiltonian(p, pf, ax1, af1) >= energy_bound:
+                        return None
                 z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
-                ax2, af2, ap2 = _rhs_blocks(template, cfg, *z2, pf)
+                ax2, af2, ap2, h2 = _rhs_blocks(template, cfg, *z2, pf)
                 z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
-                ax3, af3, ap3 = _rhs_blocks(template, cfg, *z3, pf)
+                ax3, af3, ap3, h3 = _rhs_blocks(template, cfg, *z3, pf)
                 z4 = (x + dt * ax3, p + dt * ap3)
-                ax4, af4, ap4 = _rhs_blocks(template, cfg, *z4, pf)
+                ax4, af4, ap4, h4 = _rhs_blocks(template, cfg, *z4, pf)
                 x = x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
                 f = f + (dt / 6.0) * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
                 p = p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
@@ -202,39 +253,10 @@ def integrate_forward(
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         if keep_stages:
             stages.append((z2, z3, z4))
-    return Trajectory(tuple(states), tuple(stages), tuple(velocities), template)
-
-
-def _vjp(
-    template: DiscreteFshape,
-    cfg: DynamicsConfig,
-    x: np.ndarray,
-    p: np.ndarray,
-    pf: np.ndarray,
-    V: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-):
-    """dF(z)^T V as Hess(H)(z) . (-J V), by central FD of grad H.
-
-    grad H is (-dp, 0, dx, df) in (x, f, p, pf) order. H does not depend on
-    f, so the direction's f block is dropped and the result's is zero.
-    """
-    Vx, Vf, Vp, Vpf = V
-    # -J V in (x, p, pf) block order.
-    wx, wp, wpf = -Vp, Vx, Vf
-    scale = max(np.abs(wx).max(), np.abs(wp).max(), np.abs(wpf).max())
-    if scale == 0.0 or not np.isfinite(scale):
-        if not np.isfinite(scale):
-            raise ShootingDiverged("non-finite adjoint state")
-        zero = np.zeros_like
-        return zero(Vx), zero(Vf), zero(Vp), zero(Vpf)
-    state_mag = max(np.abs(x).max(), np.abs(p).max(), np.abs(pf).max())
-    eps = FD_STEP * (1.0 + state_mag) / scale
-    xp, pp, pfp = x + eps * wx, p + eps * wp, pf + eps * wpf
-    xm, pm, pfm = x - eps * wx, p - eps * wp, pf - eps * wpf
-    dxp, dfp, dpp = _rhs_blocks(template, cfg, xp, pp, pfp)
-    dxm, dfm, dpm = _rhs_blocks(template, cfg, xm, pm, pfm)
-    inv = 1.0 / (2.0 * eps)
-    return (dpm - dpp) * inv, np.zeros_like(Vf), (dxp - dxm) * inv, (dfp - dfm) * inv
+            solves.append((h1, h2, h3, h4))
+    return Trajectory(
+        tuple(states), tuple(stages), tuple(solves), tuple(velocities), template
+    )
 
 
 def integrate_adjoint_backward(
@@ -247,8 +269,9 @@ def integrate_adjoint_backward(
 
     Each step applies the transpose of the forward RK4 step, linearized at
     the stage points the forward pass recorded, so the result is the exact
-    gradient of the discrete objective (up to the FD of ``_vjp``). The
-    trajectory must come from ``integrate_forward(..., keep_stages=True)``.
+    gradient of the discrete objective. The trajectory must come from
+    ``integrate_forward(..., keep_stages=True)``. Raises ShootingDiverged
+    when the adjoint state turns non-finite.
     """
     if len(traj.stages) != traj.n_steps:
         raise ValueError(
@@ -256,20 +279,29 @@ def integrate_adjoint_backward(
             "shoot with integrate_forward(..., keep_stages=True)"
         )
     dt = 1.0 / traj.n_steps
-    pf = traj.initial.pf
     lam = (end.X.copy(), end.F.copy(), end.Pvar.copy(), end.Pf.copy())
 
-    def vjp_at(z, *terms):
-        V = tuple(sum(c * b[i] for c, b in terms) for i in range(4))
-        return _vjp(template, cfg, *z, pf, V)
+    def vjp_at(z, h, *terms):
+        """dF(z)^T V = Hess(H) . (-J V), V the weighted sum of the terms.
+
+        grad H is (-dp, 0, dx, df) in (x, f, p, pf) order, and -J V is
+        (-V_p, V_x, V_f) in (x, p, pf) order; H does not depend on f.
+        """
+        Vx, Vf, Vp = (sum(c * b[i] for c, b in terms) for i in range(3))
+        w = (-Vp, Vx, Vf)
+        if not all(np.all(np.isfinite(b)) for b in w):
+            raise ShootingDiverged("non-finite adjoint state")
+        ddx, ddf, ddp = _rhs_tangent(template, cfg, *z, h, w)
+        return -ddp, np.zeros_like(Vf), ddx, ddf
 
     for k in range(traj.n_steps - 1, -1, -1):
         s = traj.states[k]
         z2, z3, z4 = traj.stages[k]
-        g4 = vjp_at(z4, (dt / 6.0, lam))
-        g3 = vjp_at(z3, (dt / 3.0, lam), (dt, g4))
-        g2 = vjp_at(z2, (dt / 3.0, lam), (dt / 2.0, g3))
-        g1 = vjp_at((s.x, s.p), (dt / 6.0, lam), (dt / 2.0, g2))
+        h1, h2, h3, h4 = traj.solves[k]
+        g4 = vjp_at(z4, h4, (dt / 6.0, lam))
+        g3 = vjp_at(z3, h3, (dt / 3.0, lam), (dt, g4))
+        g2 = vjp_at(z2, h2, (dt / 3.0, lam), (dt / 2.0, g3))
+        g1 = vjp_at((s.x, s.p), h1, (dt / 6.0, lam), (dt / 2.0, g2))
         lam = tuple(a + sum(gs) for a, *gs in zip(lam, g1, g2, g3, g4))
         if not all(np.all(np.isfinite(b)) for b in lam):
             raise ShootingDiverged(f"non-finite adjoint state at step {k + 1}")

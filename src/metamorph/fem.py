@@ -20,7 +20,11 @@ values h_t,
   cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
   x-gradient at vertex i is |g|^2 G_i - 2 (G_i . g) g.
 
-The H1 metric holds the summed mass and stiffness locals.
+The H1 metric holds the summed mass and stiffness locals. The adjoint's
+closed-form products differentiate both once more along vertex velocities w:
+``metric_tangent`` forms dvol = sum_i G_i . w_i and dG, the derivative of the
+volume gradients, once per cell, and from them both dD[w] h and the derivative
+of the form gradient.
 """
 
 from __future__ import annotations
@@ -57,6 +61,20 @@ class FunctionalMetric:
             raise ValueError("order-1 metric requires the p1 scheme")
 
 
+def _scatter_cells(cells: np.ndarray, local: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Sum per-cell vertex values onto the vertices: ``local[t, i]`` (a scalar
+    or an n-vector) is added to vertex ``cells[t, i]``, in cell order, by one
+    ``np.bincount`` per component."""
+    idx = cells.ravel()
+    if local.ndim == 2:
+        return np.bincount(idx, weights=local.ravel(), minlength=n_vertices)
+    flat = local.reshape(idx.size, -1)
+    return np.stack(
+        [np.bincount(idx, weights=flat[:, k], minlength=n_vertices) for k in range(flat.shape[1])],
+        axis=1,
+    )
+
+
 @dataclass(frozen=True)
 class CellMatrix:
     """A P x P matrix held as the sum of its per-cell blocks: ``blocks[t]``
@@ -74,7 +92,7 @@ class CellMatrix:
         return self.blocks.ndim == 2
 
     def _scatter(self, local: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cells.ravel(), weights=local.ravel(), minlength=self.n_vertices)
+        return _scatter_cells(self.cells, local, self.n_vertices)
 
     def diagonal(self) -> np.ndarray:
         return self._scatter(
@@ -209,6 +227,95 @@ def metric_form_grad_x(
         Gg = np.einsum("tin,tn->ti", G, g)
         contrib += np.einsum("tn,tn->t", g, g)[:, None, None] * G
         contrib -= 2.0 * Gg[:, :, None] * g[:, None, :]
-    grad = np.zeros_like(fs.vertices)
-    np.add.at(grad, fs.cells, contrib)
-    return grad
+    return _scatter_cells(fs.cells, contrib, fs.n_vertices)
+
+
+def _volume_grads_tangent(fs: DiscreteFshape, geom: CellGeometry, wc: np.ndarray):
+    """Derivatives (dvol, dG) of the cell volumes and volume gradients along
+    the per-cell vertex velocities wc, shape (T, d+1, n).
+
+    Curves: G_1 = -G_0 is the unit tangent t, so dG_1 = (I - t t^T) de / vol.
+    Triangles: G_1 = e2 x n / 2 and G_2 = n x e1 / 2 with n the unit normal,
+    whose derivative is (I - n n^T) d(e1 x e2) / (2 vol).
+    """
+    G = geom.volume_grads
+    dvol = np.einsum("tin,tin->t", G, wc)
+    de = wc[:, 1:] - wc[:, :1]
+    frames = geom.frames
+    if fs.dim_d == 1:
+        dt = de[:, 0] - frames * np.einsum("tn,tn->t", frames, de[:, 0])[:, None]
+        dt /= geom.volumes[:, None]
+        return dvol, np.stack((-dt, dt), axis=1)
+    e1, e2 = geom.edges[:, 0], geom.edges[:, 1]
+    draw = np.cross(de[:, 0], e2) + np.cross(e1, de[:, 1])
+    dn = draw - frames * np.einsum("tn,tn->t", frames, draw)[:, None]
+    dn /= 2.0 * geom.volumes[:, None]
+    g1 = 0.5 * (np.cross(de[:, 1], frames) + np.cross(e2, dn))
+    g2 = 0.5 * (np.cross(dn, e1) + np.cross(frames, de[:, 0]))
+    return dvol, np.stack((-(g1 + g2), g1, g2), axis=1)
+
+
+@dataclass(frozen=True)
+class MetricTangent:
+    """The signal metric differentiated along vertex velocities wx at a fixed
+    h, from one set of per-cell terms: ``dD_h`` is dD[wx] h, and
+    ``form_grad_x(dh)`` the derivative of ``metric_form_grad_x(fs, metric, h)``
+    as the vertices move along wx and h along dh. Built by ``metric_tangent``.
+    """
+
+    cells: np.ndarray
+    n_vertices: int
+    G: np.ndarray  # (T, m, n) volume gradients and their derivative dG
+    dG: np.ndarray
+    hc: np.ndarray  # (T, m) h per cell, and M h with M the local mass
+    Mh: np.ndarray
+    stiffness: tuple | None  # H1: (vol, g, q, dG g), else None
+    dD_h: np.ndarray
+
+    def form_grad_x(self, dh: np.ndarray) -> np.ndarray:
+        """Per cell: (h^T M h) dG_i + 2 (dh^T M h) G_i for the mass; for the
+        H1 stiffness, the derivative of |g|^2 G_i - 2 (G_i . g) g with
+        dg = q + G^T dh / vol.
+        """
+        G, dG = self.G, self.dG
+        dhc = np.asarray(dh, dtype=float)[self.cells]
+        contrib = np.einsum("ti,ti->t", self.hc, self.Mh)[:, None, None] * dG
+        contrib += 2.0 * np.einsum("ti,ti->t", dhc, self.Mh)[:, None, None] * G
+        if self.stiffness is not None:
+            vol, g, q, dG_g = self.stiffness
+            dg = q + np.einsum("ti,tin->tn", dhc, G) / vol
+            Gg = np.einsum("tin,tn->ti", G, g)
+            dGg = dG_g + np.einsum("tin,tn->ti", G, dg)
+            contrib += 2.0 * np.einsum("tn,tn->t", g, dg)[:, None, None] * G
+            contrib += np.einsum("tn,tn->t", g, g)[:, None, None] * dG
+            contrib -= 2.0 * (dGg[:, :, None] * g[:, None, :] + Gg[:, :, None] * dg[:, None, :])
+        return _scatter_cells(self.cells, contrib, self.n_vertices)
+
+
+def metric_tangent(
+    fs: DiscreteFshape, metric: FunctionalMetric, h: np.ndarray, wx: np.ndarray
+) -> MetricTangent:
+    """The metric's derivatives along vertex velocities wx at h.
+
+    Per cell, dD[wx] h is dvol M h for the mass, and, since the H1 stiffness
+    block is G G^T / vol, dG g + G q for it, with g = G^T h / vol and
+    q = (dG^T h - g dvol) / vol the part of dg that does not depend on dh.
+    """
+    geom = cell_geometry(fs)
+    G = geom.volume_grads
+    dvol, dG = _volume_grads_tangent(fs, geom, np.asarray(wx, dtype=float)[fs.cells])
+    hc = np.asarray(h, dtype=float)[fs.cells]
+    d = fs.dim_d
+    M = np.eye(d + 1) / (d + 1) if metric.scheme == "lumped" else _MASS_LOCAL[d]
+    Mh = hc @ M
+    local = dvol[:, None] * Mh
+    stiffness = None
+    if metric.order == 1:
+        vol = geom.volumes[:, None]
+        g = np.einsum("ti,tin->tn", hc, G) / vol
+        q = (np.einsum("ti,tin->tn", hc, dG) - g * dvol[:, None]) / vol
+        dGg = np.einsum("tin,tn->ti", dG, g)
+        local += dGg + np.einsum("tin,tn->ti", G, q)
+        stiffness = (vol, g, q, dGg)
+    dD_h = _scatter_cells(fs.cells, local, fs.n_vertices)
+    return MetricTangent(fs.cells, fs.n_vertices, G, dG, hc, Mh, stiffness, dD_h)

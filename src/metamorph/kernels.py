@@ -4,15 +4,16 @@ All radial profiles are functions of the *squared* distance u = |x - y|^2.
 This module holds the pairwise routines that every pairwise sum uses:
 ``_sq_dists_into`` (behind ``pairwise_sq_dists``) is the one distance
 routine, for positions and signals alike, ``_profile`` the one formula for
-k(u) or k'(u), ``_profile_pair`` the one that gives both from the same exp
-(Gaussian) or quotient (Cauchy), ``offset_sum`` the one reduction of
-weighted pair offsets and ``_tiles`` the one routine that sets tile shapes.
-The deformation sums (``kernel_conv``, ``quad_form_grad_x``) and the
-varifold sweeps run over row tiles whose buffers together hold about 2 *
-TILE_FLOATS floats (or one row, if longer): each tile's distances are turned
-into kernel values in place and reduced straight into its outputs, so a P x
-Q sum takes O(PQ) time and O(TILE_FLOATS + Q) working memory, with no P x Q
-matrix and no P x Q x n difference tensor. Tiles of 2^15 pairs per buffer
+k(u) or k'(u), ``_profile_pair`` the one that gives both, and k''(u) when
+asked, from the same exp (Gaussian) or quotient (Cauchy), ``offset_sum`` the
+one reduction of weighted pair offsets and ``_tiles`` the one routine that
+sets tile shapes. The deformation sums (``kernel_conv``, ``quad_form_grad_x``
+and their joint tangent ``kernel_tangent``) and the varifold sweeps run over
+row tiles whose buffers together hold about 2 * TILE_FLOATS floats (or one
+row, if longer): each tile's distances are turned into kernel values in
+place and reduced straight into its outputs, so a P x Q sum takes O(PQ) time
+and O(TILE_FLOATS + Q) working memory, with no P x Q matrix and no P x Q x n
+difference tensor. Tiles of 2^15 pairs per buffer
 keep a call's buffers near 0.5 MB, well inside a 4 MB L2 cache next to the
 inputs and outputs; 2 MB buffers measured up to twice as slow. Self sums (y
 is x) are symmetric: the tile of rows [s, e) starts at its diagonal block,
@@ -97,14 +98,17 @@ def _profile(spec: RadialKernelSpec, u: np.ndarray, deriv: bool = False) -> np.n
     return u
 
 
-def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray):
+def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray, ddu=None):
     """Overwrite u with one term w * k(u / s^2) and write its u-derivative
-    into du, from the one exp (Gaussian) or quotient (Cauchy) of the value."""
+    into du (and its second u-derivative into ddu, when given), from the one
+    exp (Gaussian) or quotient (Cauchy) of the value."""
     inv = 1.0 / (s * s)
     if family == "gaussian":
         u *= -0.5 * inv
         np.exp(u, out=u)
         np.multiply(u, -0.5 * w * inv, out=du)
+        if ddu is not None:
+            np.multiply(u, 0.25 * w * inv * inv, out=ddu)
         u *= w
     else:
         u *= inv
@@ -112,18 +116,26 @@ def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray):
         np.divide(w, u, out=u)
         np.multiply(u, u, out=du)
         du *= -inv / w
-    return u, du
+        if ddu is not None:
+            np.multiply(du, u, out=ddu)
+            ddu *= -2.0 * inv / w
+    return u, du, ddu
 
 
-def _profile_pair(spec: RadialKernelSpec, u: np.ndarray, du: np.ndarray):
-    """Overwrite squared distances u with k(u) and write k'(u) into du."""
+def _profile_pair(spec: RadialKernelSpec, u: np.ndarray, du: np.ndarray, ddu=None):
+    """Overwrite squared distances u with k(u) and write k'(u) into du, and
+    k''(u) into ddu when given."""
+    new = np.empty_like
     rest = [
-        _pair_term(spec.family, w, s, u.copy(), np.empty_like(u)) for w, s in spec.terms[1:]
+        _pair_term(spec.family, w, s, u.copy(), new(u), None if ddu is None else new(u))
+        for w, s in spec.terms[1:]
     ]
-    _pair_term(spec.family, *spec.terms[0], u, du)
-    for k, dk in rest:
+    _pair_term(spec.family, *spec.terms[0], u, du, ddu)
+    for k, dk, ddk in rest:
         u += k
         du += dk
+        if ddu is not None:
+            ddu += ddk
     return u, du
 
 
@@ -261,6 +273,73 @@ def quad_form_grad_x(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> np
             out[below] += offset_sum(w[:, rows.stop - first :].T, x[below], x[rows])
     out *= 4.0
     return out
+
+
+def _sq_dists_dots_into(x, y, wx, wy, u, a, t, s):
+    """Write |x_i - y_j|^2 into u and (x_i - y_j) . (wx_i - wy_j) into a,
+    one coordinate at a time, with t and s as scratch."""
+    for k in range(x.shape[1]):
+        np.subtract.outer(x[:, k], y[:, k], out=t)
+        np.subtract.outer(wx[:, k], wy[:, k], out=s)
+        if k == 0:
+            np.multiply(t, s, out=a)
+            np.multiply(t, t, out=u)
+            continue
+        s *= t
+        a += s
+        t *= t
+        u += t
+    return u, a
+
+
+def kernel_tangent(
+    spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray, wx: np.ndarray, wp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directional derivatives of K(x) p and of ``quad_form_grad_x(x, p)``
+    along (wx, wp):
+
+        d(Kp)_i  = sum_j k_ij wp_j + 2 k'_ij a_ij p_j
+        d(grad)_i = 4 sum_j (2 k''_ij a_ij pi_ij + k'_ij om_ij) (x_i - x_j)
+                              + k'_ij pi_ij (wx_i - wx_j)
+
+    with a_ij = (x_i - x_j) . (wx_i - wx_j), pi_ij = p_i . p_j and
+    om_ij = wp_i . p_j + p_i . wp_j, and k, k', k'' from one exp (Gaussian)
+    or quotient (Cauchy) per profile term. Every pair weight is symmetric, so
+    each pair is evaluated once, on the symmetric tiles of ``kernel_conv``;
+    four tile buffers, reused as the weights are formed, stay inside the
+    same 2 * TILE_FLOATS budget.
+    """
+    x, p = _check_momenta(x, p)
+    _, wx = _check_momenta(x, wx)
+    _, wp = _check_momenta(x, wp)
+    P = x.shape[0]
+    conv = np.zeros_like(x)
+    grad = np.zeros_like(x)
+    wx2 = 2.0 * wx  # so the dots come out as 2 a
+    left, right = np.hstack((wp, p)), np.hstack((p, wp))
+    for rows, first, (k, a, dk, ddk) in _tiles(P, P, n_buffers=4, sym=True):
+        cols, below = slice(first, P), slice(rows.stop, P)
+        off = rows.stop - first
+        _sq_dists_dots_into(x[rows], x[cols], wx2[rows], wx2[cols], k, a, dk, ddk)
+        _profile_pair(spec, k, dk, ddk)
+        conv[rows] += k @ wp[cols]
+        conv[below] += k[:, off:].T @ wp[rows]
+        np.multiply(dk, a, out=k)  # 2 k' a
+        conv[rows] += k @ p[cols]
+        conv[below] += k[:, off:].T @ p[rows]
+        ddk *= a
+        np.matmul(p[rows], p[cols].T, out=a)  # pi
+        ddk *= a
+        np.matmul(left[rows], right[cols].T, out=k)  # om
+        k *= dk
+        ddk += k  # 2 k'' a pi + k' om
+        a *= dk  # k' pi
+        grad[rows] += offset_sum(ddk, x[rows], x[cols]) + offset_sum(a, wx[rows], wx[cols])
+        if rows.stop < P:
+            grad[below] += offset_sum(ddk[:, off:].T, x[below], x[rows])
+            grad[below] += offset_sum(a[:, off:].T, wx[below], wx[rows])
+    grad *= 4.0
+    return conv, grad
 
 
 @dataclass(frozen=True)

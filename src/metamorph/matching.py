@@ -20,14 +20,21 @@ energy from the trajectory's initial velocity, its fidelity from the end
 state. ``objective`` returns the trajectory with J, and the descent keeps the
 trajectory of the accepted candidate: the gradient transports its adjoint
 backward along it, the next stage scores it under its rescaled fidelity
-kernels (the flow does not depend on them), and the result returns it.
+kernels (the flow does not depend on them), and the result returns it, without
+the end state's fshape and cell geometry that scoring and the gradient shared.
 So the descent's shots keep their RK4 stage points for the adjoint, while
 ``shoot``, which no gradient follows, keeps none.
+
+A line-search candidate is rejected as soon as its energy, which its shot
+reads from its first flow-field evaluation, reaches the current J: the
+fidelity is at least 0 and gamma_W at least 0, so its J could not be lower.
+Its shot then stops after that one evaluation, in place of 4 * n_steps, and
+every accept or reject decision is the one the full shot would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,10 +157,20 @@ def objective(
 ) -> tuple[float, float, float, Trajectory]:
     """Objective value, its (energy, fidelity) split and the forward shot;
     J = energy + gamma_W * fidelity."""
+    traj = _descent_shot(p0, pf, problem)
+    return (*_score(traj, problem), traj)
+
+
+def _descent_shot(
+    p0: np.ndarray, pf: np.ndarray, problem: MatchProblem, energy_bound: float | None = None
+) -> Trajectory | None:
+    """The shot of (p0, pf) from the template, with its stage points for the
+    adjoint; None if its energy reaches ``energy_bound``."""
     template = problem.template
     state0 = ShootingState(x=template.vertices, f=template.signals, p=p0, pf=pf)
-    traj = integrate_forward(state0, template, problem.dynamics, keep_stages=True)
-    return (*_score(traj, problem), traj)
+    return integrate_forward(
+        state0, template, problem.dynamics, keep_stages=True, energy_bound=energy_bound
+    )
 
 
 def _score(traj: Trajectory, problem: MatchProblem) -> tuple[float, float, float]:
@@ -215,7 +232,9 @@ def match(
                 cand_p0 = p0 - step * gp
                 cand_pf = pf - step * gpf
                 try:
-                    Jc, ec, fc, tc = objective(cand_p0, cand_pf, problem)
+                    # a candidate whose energy alone reaches J is not shot further
+                    tc = _descent_shot(cand_p0, cand_pf, problem, energy_bound=J)
+                    Jc, ec, fc = _score(tc, problem) if tc is not None else (np.inf, None, None)
                 except ShootingDiverged:
                     Jc = np.inf
                 if np.isfinite(Jc) and Jc < J:
@@ -236,7 +255,7 @@ def match(
     return MatchResult(
         p0=p0,
         pf=pf,
-        trajectory=traj,
+        trajectory=replace(traj),  # a fresh record: no cached end fshape
         objective_history=tuple(history),
         converged=converged,
         reason=reason,

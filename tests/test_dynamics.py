@@ -5,6 +5,7 @@ import pytest
 
 from metamorph import (
     AdjointState,
+    DiscreteFshape,
     DynamicsConfig,
     FunctionalMetric,
     GrassmannKernelSpec,
@@ -25,7 +26,8 @@ from metamorph import (
 )
 from metamorph import dynamics, fshape
 from metamorph.cli import GRADCHECK_TOL
-from metamorph.dynamics import _rhs_blocks, euclidean_objective_gradient
+from metamorph.dynamics import _rhs_blocks, _rhs_tangent, euclidean_objective_gradient
+from metamorph.fem import solve_spd
 from metamorph.kernels import gaussian
 from metamorph.matching import ScaleStage
 from metamorph.meshes import icosphere
@@ -107,8 +109,12 @@ def test_trajectory_energy_is_initial_hamiltonian(metric):
 
 def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
     # neither the energy nor its gradient assembles D(x0) or convolves K(x0)
-    # again: every assemble and convolution is one RHS evaluation's
-    calls = {"assemble_metric": 0, "kernel_conv": 0, "quad_form": 0}
+    # again: every assemble and convolution is one RHS evaluation's, and the
+    # gradient's adjoint makes one closed-form product per RK4 stage, with
+    # one assembly, one solve and one tangent kernel pass each
+    calls = dict.fromkeys(
+        ["assemble_metric", "solve_spd", "kernel_conv", "kernel_tangent", "quad_form"], 0
+    )
     for name in calls:
         original = getattr(dynamics, name)
 
@@ -122,17 +128,30 @@ def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
     problem = MatchProblem(src, to_varifold(triangle_strip(4, seed=39)), FID_KERNELS, 3.0, cfg)
     state0 = _random_state(src, 40)
     _, _, _, traj = objective(state0.p, state0.pf, problem)
-    assert calls == {"assemble_metric": 4 * 3, "kernel_conv": 4 * 3, "quad_form": 0}
+    stage_evals = 4 * 3
+    assert calls == {
+        "assemble_metric": stage_evals,
+        "solve_spd": stage_evals,
+        "kernel_conv": stage_evals,
+        "kernel_tangent": 0,
+        "quad_form": 0,
+    }
     calls.update(dict.fromkeys(calls, 0))
     euclidean_objective_gradient(state0.p, state0.pf, problem, trajectory=traj)
-    assert calls == {"assemble_metric": 8 * 3, "kernel_conv": 8 * 3, "quad_form": 0}
+    assert calls == {
+        "assemble_metric": stage_evals,
+        "solve_spd": stage_evals,
+        "kernel_conv": 0,
+        "kernel_tangent": stage_evals,
+        "quad_form": 0,
+    }
 
 
 def test_forward_rhs_zero_momenta():
     fs = triangle_strip(4, seed=5)
     state = _rest_state(fs)
-    dx, df, dp = _rhs_blocks(fs, _config(), state.x, state.p, state.pf)
-    for block in (dx, df, dp):
+    dx, df, dp, h = _rhs_blocks(fs, _config(), state.x, state.p, state.pf)
+    for block in (dx, df, dp, h):
         np.testing.assert_array_equal(block, 0.0)
 
 
@@ -140,7 +159,7 @@ def test_forward_rhs_velocity_block():
     fs = triangle_strip(4, seed=6)
     state = _random_state(fs, 7)
     cfg = _config(gamma_V=1.3)
-    dx, _, _ = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
+    dx, _, _, _ = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
     expected = kernel_conv(KERNEL, state.x, state.x, state.p) / 1.3
     np.testing.assert_allclose(dx, expected, rtol=1e-13)
 
@@ -187,7 +206,7 @@ def test_forward_rhs_is_minus_hamiltonian_gradient(metric):
     fs = triangle_strip(4, seed=8)
     state = _random_state(fs, 9)
     cfg = _config(metric=metric)
-    _, _, dp = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
+    _, _, dp, _ = _rhs_blocks(fs, cfg, state.x, state.p, state.pf)
     eps = 1e-6
     fd = np.zeros_like(dp)
     for i in range(fs.n_vertices):
@@ -377,6 +396,96 @@ def test_adjoint_block_structure_signal_decoupled():
     assert np.abs(out.X).max() > 0.0
 
 
+def _polyline(n, seed, dim):
+    """Open polyline of n segments in R^dim with random signals."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 2.0, n + 1)
+    pts = np.zeros((n + 1, dim))
+    pts[:, 0] = t
+    pts[:, 1] = 0.3 * np.sin(2.0 * t)
+    pts += 0.05 * rng.standard_normal(pts.shape)
+    cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    return DiscreteFshape(pts, rng.standard_normal(n + 1), cells)
+
+
+TAYLOR_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        RadialKernelSpec("gaussian", ((1.0, 0.4), (0.5, 0.2))),
+        RadialKernelSpec("cauchy", ((1.0, 0.4), (2.0, 0.7))),
+    ],
+    ids=["gaussian2", "cauchy2"],
+)
+@pytest.mark.parametrize(
+    "metric", [LUMPED, FunctionalMetric(0, "p1"), H1], ids=["lumped", "p1", "h1"]
+)
+@pytest.mark.parametrize("mesh", ["surface", "curve2", "curve3"])
+def test_rhs_tangent_taylor_remainder_is_second_order(mesh, metric, kernel, monkeypatch):
+    # |F(z + eps w) - F(z) - eps dF(z) w| must fall as eps^2: the closed-form
+    # product is the flow field's exact derivative, with central differences
+    # of _rhs_blocks only as the oracle. The metric solves run to near machine
+    # precision here, so CG's stopping noise does not blur the smallest eps.
+    monkeypatch.setattr(dynamics, "solve_spd", lambda A, b: solve_spd(A, b, rtol=1e-14))
+    fs = {
+        "surface": triangle_strip(5, seed=44),
+        "curve2": _polyline(6, 45, 2),
+        "curve3": _polyline(6, 46, 3),
+    }[mesh]
+    cfg = DynamicsConfig(1.3, 0.7, kernel, metric, n_steps=2)
+    rng = np.random.default_rng(47)
+    x = fs.vertices
+    p, pf = 0.5 * rng.standard_normal(x.shape), rng.standard_normal(fs.n_vertices)
+    w = (
+        0.1 * rng.standard_normal(x.shape),
+        rng.standard_normal(x.shape),
+        rng.standard_normal(fs.n_vertices),
+    )
+    F0 = _rhs_blocks(fs, cfg, x, p, pf)
+    dF = _rhs_tangent(fs, cfg, x, p, F0[3], w)
+    remainders = []
+    for eps in TAYLOR_EPS:
+        Fe = _rhs_blocks(fs, cfg, x + eps * w[0], p + eps * w[1], pf + eps * w[2])
+        remainders.append(
+            max(np.abs(a - b - eps * d).max() for a, b, d in zip(Fe[:3], F0[:3], dF))
+        )
+    slopes = np.diff(np.log10(remainders)) / np.diff(np.log10(TAYLOR_EPS))
+    assert np.all(np.abs(slopes - 2.0) < 0.15), (remainders, slopes)
+
+
+def test_rhs_tangent_matches_central_differences():
+    # the same product against the central difference it replaced, whose own
+    # error is O(eps^2)
+    fs = triangle_strip(6, seed=48)
+    cfg = _config(metric=H1)
+    rng = np.random.default_rng(49)
+    s = _random_state(fs, 50, amp=0.5)
+    w = tuple(rng.standard_normal(b.shape) for b in (s.x, s.p, s.pf))
+    h = _rhs_blocks(fs, cfg, s.x, s.p, s.pf)[3]
+    dF = _rhs_tangent(fs, cfg, s.x, s.p, h, w)
+    eps = 1e-5
+    plus = _rhs_blocks(fs, cfg, s.x + eps * w[0], s.p + eps * w[1], s.pf + eps * w[2])
+    minus = _rhs_blocks(fs, cfg, s.x - eps * w[0], s.p - eps * w[1], s.pf - eps * w[2])
+    for a, b, d in zip(plus[:3], minus[:3], dF):
+        np.testing.assert_allclose(d, (a - b) / (2 * eps), rtol=0, atol=1e-7 * np.abs(d).max())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adjoint_raises_on_non_finite_state(bad):
+    fs = triangle_strip(4, seed=51)
+    s0 = _random_state(fs, 52)
+    cfg = _config(n_steps=2)
+    traj = integrate_forward(s0, fs, cfg, keep_stages=True)
+    X = np.zeros_like(s0.x)
+    X[1, 2] = bad
+    zero = np.zeros(fs.n_vertices)
+    end = AdjointState(X=X, F=zero, Pvar=np.zeros_like(X), Pf=zero)
+    with pytest.raises(fshape.ShootingDiverged, match="non-finite adjoint state"):
+        integrate_adjoint_backward(traj, end, fs, cfg)
+
+
 def test_plain_shot_keeps_no_stages():
     # icosphere(3): P = 642. A plain shot keeps the states after the first
     # (x, f, p: 7P floats each) and the first-stage velocities (dx, df: 4P
@@ -493,9 +602,11 @@ def test_trajectory_records_rk4_stages():
     dt = 1.0 / cfg.n_steps
     for k, s in enumerate(traj.states[:-1]):
         points = [(s.x, s.p)] + list(traj.stages[k])
-        (ax1, _, ap1), (ax2, _, ap2), (ax3, _, ap3), (ax4, _, ap4) = (
+        (ax1, _, ap1, h1), (ax2, _, ap2, h2), (ax3, _, ap3, h3), (ax4, _, ap4, h4) = (
             _rhs_blocks(fs, cfg, x, p, s.pf) for x, p in points
         )
+        for h, recorded in zip((h1, h2, h3, h4), traj.solves[k]):
+            assert np.array_equal(h, recorded)
         x = s.x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
         p = s.p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
         assert np.array_equal(x, traj.states[k + 1].x)

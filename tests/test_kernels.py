@@ -19,7 +19,7 @@ from metamorph import (
     varifold_inner,
 )
 from metamorph import kernels, varifold
-from metamorph.kernels import offset_sum, pairwise_sq_dists
+from metamorph.kernels import kernel_tangent, offset_sum, pairwise_sq_dists
 
 from conftest import triangle_strip
 
@@ -80,6 +80,22 @@ def test_profile_pair_matches_closed_forms(spec):
     np.testing.assert_allclose(dk, expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("spec", [GAUSS, CAUCHY, TWO_TERM])
+def test_profile_pair_second_derivative(spec):
+    # k'' from the same exp or quotient, against closed forms and central
+    # differences of k'; k and k' are unchanged by asking for k''
+    u = np.array([0.0, 0.01, 0.3, 2.0])
+    k, dk = _pair(spec, u)
+    k2, dk2, ddk = u.copy(), np.empty_like(u), np.empty_like(u)
+    kernels._profile_pair(spec, k2, dk2, ddk)
+    assert np.array_equal(k2, k) and np.array_equal(dk2, dk)
+    np.testing.assert_allclose(ddk, [_profile_dd(spec, v) for v in u], rtol=1e-14)
+    eps = 1e-6
+    v = u[1:]
+    fd = (_pair(spec, v + eps)[1] - _pair(spec, v - eps)[1]) / (2 * eps)
+    np.testing.assert_allclose(ddk[1:], fd, rtol=1e-7)
+
+
 def test_pairwise_sq_dists_matches_double_loop():
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
@@ -121,7 +137,11 @@ def test_tiled_sums_hold_no_pair_matrix():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((P, 3))
     p = rng.standard_normal((P, 3))
-    for call in (lambda: kernel_conv(GAUSS, x, x, p), lambda: quad_form_grad_x(GAUSS, x, p)):
+    for call in (
+        lambda: kernel_conv(GAUSS, x, x, p),
+        lambda: quad_form_grad_x(GAUSS, x, p),
+        lambda: kernel_tangent(GAUSS, x, p, p, x),
+    ):
         tracemalloc.start()
         try:
             call()
@@ -160,6 +180,18 @@ def _profile_loop(spec, u, deriv=False):
             total += -0.5 * w / (s * s) * math.exp(-0.5 * a) if deriv else w * math.exp(-0.5 * a)
         else:
             total += -w / (s * s) / (1.0 + a) ** 2 if deriv else w / (1.0 + a)
+    return total
+
+
+def _profile_dd(spec, u):
+    """k''(u), term by term."""
+    total = 0.0
+    for w, s in spec.terms:
+        inv = 1.0 / (s * s)
+        if spec.family == "gaussian":
+            total += 0.25 * w * inv * inv * math.exp(-0.5 * u * inv)
+        else:
+            total += 2.0 * w * inv * inv / (1.0 + u * inv) ** 3
     return total
 
 
@@ -235,6 +267,52 @@ def test_symmetric_tiles_match_double_loop(spec, P, monkeypatch):
     np.testing.assert_allclose(
         kernel_conv(spec, x, x, alpha[:, 0]), conv[:, 0], rtol=1e-12, atol=1e-13
     )
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
+@pytest.mark.parametrize("P", [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 2])
+def test_tiled_kernel_tangent_matches_double_loop(spec, P, monkeypatch):
+    # the tangent pass runs on the symmetric tiles with four buffers; past the
+    # first tile of TILE_ROWS rows each pair also reaches the rows below it
+    rng = np.random.default_rng(18 + P)
+    x, wx = 0.2 * rng.standard_normal((2, P, 3))
+    p, wp = rng.standard_normal((2, P, 3))
+    monkeypatch.setattr(kernels, "TILE_FLOATS", 2 * TILE_ROWS * P)
+    tiles = [rows for rows, _, _ in kernels._tiles(P, P, n_buffers=4, sym=True)]
+    assert tiles[0] == slice(0, min(P, TILE_ROWS))
+    assert (len(tiles) > 1) == (P > TILE_ROWS)
+
+    conv = np.zeros((P, 3))
+    grad = np.zeros((P, 3))
+    for i in range(P):
+        for j in range(P):
+            u = _sq(x[i], x[j])
+            k, dk = _profile_loop(spec, u), _profile_loop(spec, u, deriv=True)
+            ddk = _profile_dd(spec, u)
+            a = (x[i] - x[j]) @ (wx[i] - wx[j])
+            pi, om = p[i] @ p[j], wp[i] @ p[j] + p[i] @ wp[j]
+            conv[i] += k * wp[j] + 2.0 * dk * a * p[j]
+            grad[i] += 4.0 * (2.0 * ddk * a * pi + dk * om) * (x[i] - x[j])
+            grad[i] += 4.0 * dk * pi * (wx[i] - wx[j])
+    out = kernel_tangent(spec, x, p, wx, wp)
+    np.testing.assert_allclose(out[0], conv, rtol=1e-12, atol=1e-13 * np.abs(conv).max())
+    np.testing.assert_allclose(out[1], grad, rtol=1e-12, atol=1e-13 * np.abs(grad).max())
+    again = kernel_tangent(spec, x, p, wx, wp)
+    assert np.array_equal(out[0], again[0]) and np.array_equal(out[1], again[1])
+
+
+def test_kernel_tangent_is_the_derivative_of_the_self_sums():
+    # against central differences of kernel_conv and quad_form_grad_x
+    rng = np.random.default_rng(19)
+    x, wx = 0.3 * rng.standard_normal((2, 40, 3))
+    p, wp = rng.standard_normal((2, 40, 3))
+    conv, grad = kernel_tangent(TWO_TERM, x, p, wx, wp)
+    eps = 1e-6
+    xp, xm, pp, pm = x + eps * wx, x - eps * wx, p + eps * wp, p - eps * wp
+    fd_conv = (kernel_conv(TWO_TERM, xp, xp, pp) - kernel_conv(TWO_TERM, xm, xm, pm)) / (2 * eps)
+    fd_grad = (quad_form_grad_x(TWO_TERM, xp, pp) - quad_form_grad_x(TWO_TERM, xm, pm)) / (2 * eps)
+    np.testing.assert_allclose(conv, fd_conv, rtol=0, atol=1e-7 * np.abs(conv).max())
+    np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-7 * np.abs(grad).max())
 
 
 def test_offset_sum_matches_double_loop():

@@ -13,6 +13,7 @@ from metamorph import (
     ShootingState,
     VarifoldKernels,
     fidelity,
+    integrate_forward,
     match,
     objective,
     shoot,
@@ -212,6 +213,106 @@ def test_match_shoots_each_momenta_once(monkeypatch):
     assert len(shots) == len(set(shots))
 
 
+def _record_shots(monkeypatch, drop_energy_bound=False):
+    """Route match's shots through a wrapper that records, per shot, whether
+    it stopped on its energy, how many flow-field evaluations it made (one
+    ``quad_form_grad_x`` each) and its energy bound; with
+    ``drop_energy_bound`` the wrapper shoots every candidate in full."""
+    import metamorph.dynamics
+    import metamorph.matching
+
+    rhs = []
+    grad_x = metamorph.dynamics.quad_form_grad_x
+    monkeypatch.setattr(
+        metamorph.dynamics, "quad_form_grad_x", lambda *a: rhs.append(1) or grad_x(*a)
+    )
+    original = metamorph.matching.integrate_forward
+    shots = []
+
+    def shot(state0, template, cfg, **kw):
+        bound = kw.pop("energy_bound", None) if drop_energy_bound else kw.get("energy_bound")
+        before = len(rhs)
+        traj = original(state0, template, cfg, **kw)
+        shots.append((traj is None, len(rhs) - before, bound))
+        return traj
+
+    monkeypatch.setattr(metamorph.matching, "integrate_forward", shot)
+    return shots
+
+
+PRUNING_SCHEDULE = (ScaleStage(2.0, 2.0, 4), ScaleStage(1.0, 1.0, 4))
+
+
+def test_candidate_reaching_j_on_its_energy_costs_one_rhs(monkeypatch):
+    shots = _record_shots(monkeypatch)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    cfg = _config(step_init=10.0, scale_schedule=PRUNING_SCHEDULE)
+    result = match(src, tgt, cfg)
+    pruned = [n for stopped, n, _ in shots if stopped]
+    full = [n for stopped, n, _ in shots if not stopped]
+    assert len(pruned) >= 3
+    assert pruned == [1] * len(pruned)
+    assert full == [4 * cfg.n_steps] * len(full)
+    # every shot but the opening one is a candidate, bounded by the J it has
+    # to beat: the last accepted one
+    bounds = [bound for _, _, bound in shots[1:]]
+    assert shots[0][2] is None
+    assert set(bounds) <= {row[1] for row in result.objective_history}
+
+
+def test_energy_bound_stops_at_and_above_the_shots_energy():
+    src = triangle_strip(4, seed=7)
+    cfg = _config()
+    rng = np.random.default_rng(3)
+    p0 = rng.standard_normal(src.vertices.shape)
+    state0 = ShootingState(src.vertices, src.signals, p0, rng.standard_normal(src.n_vertices))
+    energy = integrate_forward(state0, src, cfg.dynamics()).energy
+    assert integrate_forward(state0, src, cfg.dynamics(), energy_bound=energy) is None
+    just_above = np.nextafter(energy, np.inf)
+    above = integrate_forward(state0, src, cfg.dynamics(), energy_bound=just_above)
+    assert above is not None and above.energy == energy
+
+
+def test_match_result_is_byte_identical_without_the_energy_check(monkeypatch):
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    cfg = _config(step_init=10.0, scale_schedule=PRUNING_SCHEDULE)
+    with monkeypatch.context() as m:
+        checked_shots = _record_shots(m)
+        checked = match(src, tgt, cfg)
+    full_shots = _record_shots(monkeypatch, drop_energy_bound=True)
+    full = match(src, tgt, cfg)
+    assert any(stopped for stopped, _, _ in checked_shots)
+    assert not any(stopped for stopped, _, _ in full_shots)
+    assert len(full_shots) == len(checked_shots)
+    assert checked.objective_history == full.objective_history
+    assert (checked.converged, checked.reason) == (full.converged, full.reason)
+    assert checked.p0.tobytes() == full.p0.tobytes()
+    assert checked.pf.tobytes() == full.pf.tobytes()
+    a, b = checked.trajectory, full.trajectory
+    assert len(a.states) == len(b.states)
+    for sa, sb in zip(a.states, b.states):
+        for name in ("x", "f", "p", "pf"):
+            assert getattr(sa, name).tobytes() == getattr(sb, name).tobytes()
+    arrays = lambda t: [z for step in t.stages for pt in step for z in pt] + [
+        z for group in (t.solves, t.velocities) for step in group for z in step
+    ]
+    assert [z.tobytes() for z in arrays(a)] == [z.tobytes() for z in arrays(b)]
+
+
+def test_match_result_keeps_no_end_geometry():
+    # scoring and the gradient share the end state's fshape and its cell
+    # geometry; the returned trajectory keeps the shot, not that scratch
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    result = match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 2),)))
+    assert "end" not in vars(result.trajectory)
+    assert len(result.trajectory.stages) == len(result.trajectory.solves) == 8
+    end = result.trajectory.end
+    assert np.array_equal(end.vertices, result.trajectory.final.x)
+
+
 def _patch_first_candidate(monkeypatch, broken_shot):
     """Route match's shots through a wrapper whose first candidate (the
     second shot; the first is the opening shot at zero momenta) runs
@@ -260,6 +361,45 @@ def test_match_rejects_diverging_candidate(monkeypatch):
     tgt = triangle_strip(4, seed=8)
     result = match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 3),)))
     assert len(caught) == 1 and "non-finite" in str(caught[0])
+    assert len(seen) > 2
+    values = [J for _, J, _, _ in result.objective_history]
+    assert result.objective_history[-1][0] == 3
+    assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_match_rejects_candidate_with_degenerate_end_cell(monkeypatch):
+    # the shot integrates, but its end state collapses cell 0: only scoring
+    # measures that state, and the candidate must be rejected like a shot
+    # that diverged on the way
+    from dataclasses import replace
+
+    import metamorph.matching
+
+    caught = []
+    original_fidelity = metamorph.matching.fidelity
+
+    def fidelity(*a, **kw):
+        try:
+            return original_fidelity(*a, **kw)
+        except ShootingDiverged as exc:
+            caught.append(exc)
+            raise
+
+    def collapsing(original, state0, template, cfg, **kw):
+        kw.pop("energy_bound", None)
+        traj = original(state0, template, cfg, **kw)
+        end = traj.states[-1]
+        x = end.x.copy()
+        x[template.cells[0]] = x[template.cells[0, 0]]
+        collapsed = ShootingState(x, end.f, end.p, end.pf)
+        return replace(traj, states=traj.states[:-1] + (collapsed,))
+
+    monkeypatch.setattr(metamorph.matching, "fidelity", fidelity)
+    seen = _patch_first_candidate(monkeypatch, collapsing)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    result = match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 3),)))
+    assert len(caught) == 1 and "degenerate" in str(caught[0])
     assert len(seen) > 2
     values = [J for _, J, _, _ in result.objective_history]
     assert result.objective_history[-1][0] == 3
