@@ -1,36 +1,15 @@
-"""Joint geometric-photometric geodesic matching of textured simplicial meshes."""
+"""Joint geometric-photometric geodesic matching of textured simplicial meshes.
 
-from .dynamics import (
-    DynamicsConfig,
-    MatchProblem,
-    Trajectory,
-    integrate_adjoint_backward,
-    integrate_forward,
-    reduced_hamiltonian,
-)
-from .fem import (
-    FunctionalMetric,
-    assemble_metric,
-    lumped_vertex_weights,
-    metric_form_grad_x,
-)
-from .fshape import (
-    AdjointState,
-    CellGeometry,
-    DiscreteFshape,
-    ShootingDiverged,
-    ShootingState,
-    cell_geometry,
-    validate_fshape,
-)
-from .kernels import (
-    GrassmannKernelSpec,
-    RadialKernelSpec,
-    kernel_conv,
-    quad_form,
-    quad_form_grad_x,
-    radial_eval,
-)
+The package root holds what a library user needs: meshes and their
+validation, kernel and metric specs, configs, ``match`` / ``shoot`` /
+``objective``, the fidelity, and the sphere oracle. Layer functions (metric
+assembly, kernel sums, the adjoint, ...) are imported from their modules.
+"""
+
+from .dynamics import DynamicsConfig, MatchProblem, Trajectory, integrate_forward
+from .fem import FunctionalMetric
+from .fshape import DiscreteFshape, ShootingDiverged, ShootingState, validate_fshape
+from .kernels import GrassmannKernelSpec, RadialKernelSpec
 from .matching import (
     MatchConfig,
     MatchResult,
@@ -40,23 +19,13 @@ from .matching import (
     objective,
     shoot,
 )
-from .sphere import SphereState, chi, chi_prime, integrate_sphere, sphere_vertex_momenta
-from .varifold import (
-    DiscreteVarifold,
-    VarifoldKernels,
-    fidelity,
-    grad_fidelity,
-    to_varifold,
-    varifold_inner,
-)
+from .sphere import SphereState, integrate_sphere
+from .varifold import VarifoldKernels, fidelity, to_varifold
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointState",
-    "CellGeometry",
     "DiscreteFshape",
-    "DiscreteVarifold",
     "DynamicsConfig",
     "FunctionalMetric",
     "GrassmannKernelSpec",
@@ -70,28 +39,13 @@ __all__ = [
     "SphereState",
     "Trajectory",
     "VarifoldKernels",
-    "assemble_metric",
-    "cell_geometry",
-    "chi",
-    "chi_prime",
     "digits_preset",
     "fidelity",
-    "grad_fidelity",
-    "integrate_adjoint_backward",
     "integrate_forward",
     "integrate_sphere",
-    "kernel_conv",
-    "lumped_vertex_weights",
     "match",
-    "metric_form_grad_x",
     "objective",
-    "quad_form",
-    "quad_form_grad_x",
-    "radial_eval",
-    "reduced_hamiltonian",
     "shoot",
-    "sphere_vertex_momenta",
     "to_varifold",
     "validate_fshape",
-    "varifold_inner",
 ]

@@ -23,7 +23,7 @@ derivative of the flow field along w = -J V, in closed form (Vialard,
 Risser, Rueckert & Cotter, IJCV 2012). Its kernel part is one symmetric
 tiled pass, ``kernel_tangent``; its signal part assembles D(x) once and
 solves once for dh = D^-1 (w_pf - dD[w_x] h), then differentiates the
-metric's form gradient, both from one set of per-cell terms
+metric's form gradient with the per-cell routine that builds it
 (``metric_tangent``).
 So an adjoint step costs four such products and no flow-field evaluation,
 and the gradient is exact for the discrete objective.
@@ -193,11 +193,11 @@ def _rhs_tangent(
     wx, wp, wpf = w
     fs_x = template.with_(vertices=x)
     D = assemble_metric(fs_x, cfg.metric)
-    tangent = metric_tangent(fs_x, cfg.metric, h, wx)
-    dh = solve_spd(D, wpf - tangent.dD_h)
+    dD_h, form_grad_dx = metric_tangent(fs_x, cfg.metric, h, wx)
+    dh = solve_spd(D, wpf - dD_h)
     dconv, dgrad = kernel_tangent(cfg.kernel, x, p, wx, wp)
     ddp = -dgrad / (2.0 * cfg.gamma_V)
-    ddp += tangent.form_grad_x(dh) / (2.0 * cfg.gamma_f)
+    ddp += form_grad_dx(dh) / (2.0 * cfg.gamma_f)
     return dconv / cfg.gamma_V, dh / cfg.gamma_f, ddp
 
 

@@ -20,25 +20,36 @@ values h_t,
   cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
   x-gradient at vertex i is |g|^2 G_i - 2 (G_i . g) g.
 
-The H1 metric holds the summed mass and stiffness locals. The adjoint's
-closed-form products differentiate both once more along vertex velocities w:
-``metric_tangent`` forms dvol = sum_i G_i . w_i and dG, the derivative of the
-volume gradients, once per cell, and from them both dD[w] h and the derivative
-of the form gradient.
+The H1 metric holds the summed mass and stiffness locals. Their x-gradients
+are one per-cell routine, symmetric under (a, ga) <-> (b, gb):
+
+    F(G; a, b; ga, gb) = (a^T M b) G + (ga . gb) G - [(G ga) gb^T + (G gb) ga^T]
+
+with the gradient terms for H1 only: the form gradient is F(G; h, h; g, g).
+The adjoint's closed-form products differentiate it once more along vertex
+velocities w: ``metric_tangent`` forms dvol = sum_i G_i . w_i and dG, the
+derivative of the volume gradients, once per cell, and from them dD[w] h and,
+by the product rule, the form gradient's derivative
+F(dG; h, h; g, g) + 2 F(G; dh, h; dg, g).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fshape import CellGeometry, DiscreteFshape, ShootingDiverged, cell_geometry
+from .fshape import CellGeometry, DiscreteFshape, ShootingDiverged, cell_geometry, scatter_cells
 
 SOLVER_RTOL = 1e-10
 
-# Reference local matrices of the P1-exact mass: (1 + delta_ij) / ((d+1)(d+2)).
-_MASS_LOCAL = {d: (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2)) for d in (1, 2)}
+# Reference local mass matrices M per (scheme, d): (1 + delta_ij) / ((d+1)(d+2))
+# for P1, I / (d+1) for lumped.
+_MASS_LOCAL = {
+    **{("p1", d): (1.0 + np.eye(d + 1)) / ((d + 1) * (d + 2)) for d in (1, 2)},
+    **{("lumped", d): np.eye(d + 1) / (d + 1) for d in (1, 2)},
+}
 
 
 @dataclass(frozen=True)
@@ -61,20 +72,6 @@ class FunctionalMetric:
             raise ValueError("order-1 metric requires the p1 scheme")
 
 
-def _scatter_cells(cells: np.ndarray, local: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Sum per-cell vertex values onto the vertices: ``local[t, i]`` (a scalar
-    or an n-vector) is added to vertex ``cells[t, i]``, in cell order, by one
-    ``np.bincount`` per component."""
-    idx = cells.ravel()
-    if local.ndim == 2:
-        return np.bincount(idx, weights=local.ravel(), minlength=n_vertices)
-    flat = local.reshape(idx.size, -1)
-    return np.stack(
-        [np.bincount(idx, weights=flat[:, k], minlength=n_vertices) for k in range(flat.shape[1])],
-        axis=1,
-    )
-
-
 @dataclass(frozen=True)
 class CellMatrix:
     """A P x P matrix held as the sum of its per-cell blocks: ``blocks[t]``
@@ -91,19 +88,14 @@ class CellMatrix:
     def is_diagonal(self) -> bool:
         return self.blocks.ndim == 2
 
-    def _scatter(self, local: np.ndarray) -> np.ndarray:
-        return _scatter_cells(self.cells, local, self.n_vertices)
-
     def diagonal(self) -> np.ndarray:
-        return self._scatter(
-            self.blocks if self.is_diagonal else np.diagonal(self.blocks, axis1=1, axis2=2)
-        )
+        diag = self.blocks if self.is_diagonal else np.diagonal(self.blocks, axis1=1, axis2=2)
+        return scatter_cells(self.cells, diag, self.n_vertices)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         vc = v[self.cells]
-        if self.is_diagonal:
-            return self._scatter(self.blocks * vc)
-        return self._scatter(np.einsum("tij,tj->ti", self.blocks, vc))
+        local = self.blocks * vc if self.is_diagonal else np.einsum("tij,tj->ti", self.blocks, vc)
+        return scatter_cells(self.cells, local, self.n_vertices)
 
 
 def lumped_vertex_weights(fs: DiscreteFshape) -> np.ndarray:
@@ -117,30 +109,16 @@ def _stiffness_local(geom: CellGeometry) -> np.ndarray:
     return (G @ G.transpose(0, 2, 1)) / geom.volumes[:, None, None]
 
 
-def assemble_stiffness(fs: DiscreteFshape) -> CellMatrix:
-    """Stiffness matrix of the cell-constant interpolant gradient.
-
-    Quadratic form value: sum over cells of volume * |grad f_tilde|^2, with
-    the gradient taken in the tangent space of each cell.
-    """
-    return CellMatrix(fs.cells, _stiffness_local(cell_geometry(fs)), fs.n_vertices)
-
-
 def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> CellMatrix:
     """The signal-metric matrix D(x): lumped or P1 mass, plus stiffness for H1."""
     geom = cell_geometry(fs)
     m = fs.dim_d + 1
     if metric.scheme == "lumped":
         return CellMatrix(fs.cells, np.repeat(geom.volumes[:, None] / m, m, axis=1), fs.n_vertices)
-    local = geom.volumes[:, None, None] * _MASS_LOCAL[fs.dim_d]
+    local = geom.volumes[:, None, None] * _MASS_LOCAL["p1", fs.dim_d]
     if metric.order == 1:
         local = local + _stiffness_local(geom)
     return CellMatrix(fs.cells, local, fs.n_vertices)
-
-
-def quadratic_form(A: CellMatrix, f: np.ndarray) -> float:
-    f = np.asarray(f, dtype=float)
-    return float(f @ (A @ f))
 
 
 def solve_spd(
@@ -205,29 +183,43 @@ def solve_spd(
     )
 
 
+def _cell_terms(fs: DiscreteFshape, metric: FunctionalMetric, h: np.ndarray):
+    """The cell geometry, h per cell, the reference mass M and, for H1, the
+    interpolant gradient g = G^T h / vol (else None)."""
+    geom = cell_geometry(fs)
+    hc = np.asarray(h, dtype=float)[fs.cells]
+    g = None
+    if metric.order == 1:
+        g = np.einsum("ti,tin->tn", hc, geom.volume_grads) / geom.volumes[:, None]
+    return geom, hc, _MASS_LOCAL[metric.scheme, fs.dim_d], g
+
+
+def _form_grad_cells(G, M, a, b, ga, gb) -> np.ndarray:
+    """Per-cell F(G; a, b; ga, gb) of the module docstring, shape (T, m, n);
+    the gradient terms only when ga and gb are given."""
+    out = np.einsum("ti,ij,tj->t", a, M, b)[:, None, None] * G
+    if ga is not None:
+        out += np.einsum("tn,tn->t", ga, gb)[:, None, None] * G
+        cross = np.einsum("tin,tn->ti", G, ga)[:, :, None] * gb[:, None, :]
+        # (G gb) ga^T is the same term when gb is ga, as in F(G; h, h; g, g)
+        other = cross if gb is ga else np.einsum("tin,tn->ti", G, gb)[:, :, None] * ga[:, None, :]
+        out -= cross + other
+    return out
+
+
 def metric_form_grad_x(
     fs: DiscreteFshape, metric: FunctionalMetric, h: np.ndarray
 ) -> np.ndarray:
-    """Gradient of h^T D(x) h w.r.t. all vertex positions, for fixed h.
-
-    Per cell: (h_t^T M h_t) G_i for the mass, plus |g|^2 G_i - 2 (G_i . g) g
-    for the H1 stiffness; see the module docstring.
+    """Gradient of h^T D(x) h w.r.t. all vertex positions, for fixed h: the
+    scatter of F(G; h, h; g, g), that is (h_t^T M h_t) G_i for the mass plus
+    |g|^2 G_i - 2 (G_i . g) g for the H1 stiffness.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (fs.n_vertices,):
         raise ValueError(f"h shape {h.shape} != ({fs.n_vertices},)")
-    geom = cell_geometry(fs)
-    G = geom.volume_grads
-    hc = h[fs.cells]
-    d = fs.dim_d
-    M = np.eye(d + 1) / (d + 1) if metric.scheme == "lumped" else _MASS_LOCAL[d]
-    contrib = np.einsum("ti,ij,tj->t", hc, M, hc)[:, None, None] * G
-    if metric.order == 1:
-        g = np.einsum("ti,tin->tn", hc, G) / geom.volumes[:, None]
-        Gg = np.einsum("tin,tn->ti", G, g)
-        contrib += np.einsum("tn,tn->t", g, g)[:, None, None] * G
-        contrib -= 2.0 * Gg[:, :, None] * g[:, None, :]
-    return _scatter_cells(fs.cells, contrib, fs.n_vertices)
+    geom, hc, M, g = _cell_terms(fs, metric, h)
+    contrib = _form_grad_cells(geom.volume_grads, M, hc, hc, g, g)
+    return scatter_cells(fs.cells, contrib, fs.n_vertices)
 
 
 def _volume_grads_tangent(fs: DiscreteFshape, geom: CellGeometry, wc: np.ndarray):
@@ -255,67 +247,31 @@ def _volume_grads_tangent(fs: DiscreteFshape, geom: CellGeometry, wc: np.ndarray
     return dvol, np.stack((-(g1 + g2), g1, g2), axis=1)
 
 
-@dataclass(frozen=True)
-class MetricTangent:
-    """The signal metric differentiated along vertex velocities wx at a fixed
-    h, from one set of per-cell terms: ``dD_h`` is dD[wx] h, and
-    ``form_grad_x(dh)`` the derivative of ``metric_form_grad_x(fs, metric, h)``
-    as the vertices move along wx and h along dh. Built by ``metric_tangent``.
-    """
-
-    cells: np.ndarray
-    n_vertices: int
-    G: np.ndarray  # (T, m, n) volume gradients and their derivative dG
-    dG: np.ndarray
-    hc: np.ndarray  # (T, m) h per cell, and M h with M the local mass
-    Mh: np.ndarray
-    stiffness: tuple | None  # H1: (vol, g, q, dG g), else None
-    dD_h: np.ndarray
-
-    def form_grad_x(self, dh: np.ndarray) -> np.ndarray:
-        """Per cell: (h^T M h) dG_i + 2 (dh^T M h) G_i for the mass; for the
-        H1 stiffness, the derivative of |g|^2 G_i - 2 (G_i . g) g with
-        dg = q + G^T dh / vol.
-        """
-        G, dG = self.G, self.dG
-        dhc = np.asarray(dh, dtype=float)[self.cells]
-        contrib = np.einsum("ti,ti->t", self.hc, self.Mh)[:, None, None] * dG
-        contrib += 2.0 * np.einsum("ti,ti->t", dhc, self.Mh)[:, None, None] * G
-        if self.stiffness is not None:
-            vol, g, q, dG_g = self.stiffness
-            dg = q + np.einsum("ti,tin->tn", dhc, G) / vol
-            Gg = np.einsum("tin,tn->ti", G, g)
-            dGg = dG_g + np.einsum("tin,tn->ti", G, dg)
-            contrib += 2.0 * np.einsum("tn,tn->t", g, dg)[:, None, None] * G
-            contrib += np.einsum("tn,tn->t", g, g)[:, None, None] * dG
-            contrib -= 2.0 * (dGg[:, :, None] * g[:, None, :] + Gg[:, :, None] * dg[:, None, :])
-        return _scatter_cells(self.cells, contrib, self.n_vertices)
-
-
 def metric_tangent(
     fs: DiscreteFshape, metric: FunctionalMetric, h: np.ndarray, wx: np.ndarray
-) -> MetricTangent:
-    """The metric's derivatives along vertex velocities wx at h.
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The metric's derivatives along vertex velocities wx at h: dD[wx] h,
+    and the map dh -> derivative of ``metric_form_grad_x(fs, metric, h)`` as
+    the vertices move along wx and h along dh.
 
     Per cell, dD[wx] h is dvol M h for the mass, and, since the H1 stiffness
-    block is G G^T / vol, dG g + G q for it, with g = G^T h / vol and
-    q = (dG^T h - g dvol) / vol the part of dg that does not depend on dh.
+    block is G G^T / vol, dG g + G q for it, with q = (dG^T h - g dvol) / vol
+    the part of dg that does not depend on dh. The form gradient's derivative
+    is F(dG; h, h; g, g) + 2 F(G; dh, h; dg, g), with dg = q + G^T dh / vol.
     """
-    geom = cell_geometry(fs)
+    geom, hc, M, g = _cell_terms(fs, metric, h)
     G = geom.volume_grads
     dvol, dG = _volume_grads_tangent(fs, geom, np.asarray(wx, dtype=float)[fs.cells])
-    hc = np.asarray(h, dtype=float)[fs.cells]
-    d = fs.dim_d
-    M = np.eye(d + 1) / (d + 1) if metric.scheme == "lumped" else _MASS_LOCAL[d]
-    Mh = hc @ M
-    local = dvol[:, None] * Mh
-    stiffness = None
-    if metric.order == 1:
-        vol = geom.volumes[:, None]
-        g = np.einsum("ti,tin->tn", hc, G) / vol
-        q = (np.einsum("ti,tin->tn", hc, dG) - g * dvol[:, None]) / vol
-        dGg = np.einsum("tin,tn->ti", dG, g)
-        local += dGg + np.einsum("tin,tn->ti", G, q)
-        stiffness = (vol, g, q, dGg)
-    dD_h = _scatter_cells(fs.cells, local, fs.n_vertices)
-    return MetricTangent(fs.cells, fs.n_vertices, G, dG, hc, Mh, stiffness, dD_h)
+    local = dvol[:, None] * (hc @ M)
+    if g is not None:
+        q = (np.einsum("ti,tin->tn", hc, dG) - g * dvol[:, None]) / geom.volumes[:, None]
+        local += np.einsum("tin,tn->ti", dG, g) + np.einsum("tin,tn->ti", G, q)
+    along_wx = _form_grad_cells(dG, M, hc, hc, g, g)
+
+    def form_grad_dx(dh: np.ndarray) -> np.ndarray:
+        dhc = np.asarray(dh, dtype=float)[fs.cells]
+        dg = None if g is None else q + np.einsum("ti,tin->tn", dhc, G) / geom.volumes[:, None]
+        contrib = along_wx + 2.0 * _form_grad_cells(G, M, dhc, hc, dg, g)
+        return scatter_cells(fs.cells, contrib, fs.n_vertices)
+
+    return scatter_cells(fs.cells, local, fs.n_vertices), form_grad_dx

@@ -30,7 +30,7 @@ import numpy as np
 
 from .fem import FunctionalMetric
 from .fshape import DiscreteFshape
-from .kernels import GrassmannKernelSpec, RadialKernelSpec
+from .kernels import GrassmannKernelSpec, RadialKernelSpec, gaussian
 from .matching import MatchConfig, ScaleStage, digits_preset
 from .varifold import VarifoldKernels
 
@@ -54,6 +54,30 @@ def _count(token: str, where: str) -> int:
     if value < 0:
         raise UserError(f"{where}: expected a nonnegative integer, got {token!r}")
     return value
+
+
+def _mesh(
+    path: Path, vertices: np.ndarray, signals: np.ndarray, cells: np.ndarray
+) -> DiscreteFshape:
+    """The fshape a reader parsed: 0-based cell indices in range, and a
+    constructor error reported against the file."""
+    n_vertices = len(vertices)
+    if cells.size:
+        lo, hi = cells.min(), cells.max()
+        if lo >= 1 and hi == n_vertices:
+            raise UserError(
+                f"{path}: cell indices look 1-based (min {lo}, max {hi} "
+                f"== vertex count); this reader requires 0-based indices"
+            )
+        if lo < 0 or hi >= n_vertices:
+            raise UserError(
+                f"{path}: cell index {hi if hi >= n_vertices else lo} "
+                f"out of range [0, {n_vertices})"
+            )
+    try:
+        return DiscreteFshape(vertices=vertices, signals=signals, cells=cells)
+    except ValueError as exc:
+        raise UserError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +117,7 @@ def _read_fsh(path: Path) -> DiscreteFshape:
             cells[k] = [int(tok) for tok in parts]
         except ValueError:
             raise UserError(f"{path}:{lineno}: malformed index") from None
-    _check_indices(path, cells, P)
-    try:
-        return DiscreteFshape(vertices=vertices, signals=signals, cells=cells)
-    except ValueError as exc:
-        raise UserError(f"{path}: {exc}") from None
+    return _mesh(path, vertices, signals, cells)
 
 
 def _write_fsh(path: Path, fs: DiscreteFshape) -> None:
@@ -196,11 +216,7 @@ def _read_ply(path: Path) -> DiscreteFshape:
             faces[k] = [int(tok) for tok in parts[1:]]
         except ValueError:
             raise UserError(f"{path}:{lineno}: malformed face index") from None
-    _check_indices(path, faces, n_vertices)
-    try:
-        return DiscreteFshape(vertices=vertices, signals=signals, cells=faces)
-    except ValueError as exc:
-        raise UserError(f"{path}: {exc}") from None
+    return _mesh(path, vertices, signals, faces)
 
 
 def _write_ply(path: Path, fs: DiscreteFshape) -> None:
@@ -278,26 +294,18 @@ def _read_off(path: Path) -> DiscreteFshape:
             faces[k] = [int(tok) for _, tok in chunk]
         except ValueError:
             raise UserError(f"{path}:{chunk[0][0]}: malformed face index") from None
-    _check_indices(path, faces, n_vertices)
+    fs = _mesh(path, vertices, np.zeros(n_vertices), faces)
     sidecar = _signal_sidecar(path)
-    if sidecar.exists():
-        try:
-            signals = np.array(
-                [float(tok) for tok in sidecar.read_text().split()], dtype=float
-            )
-        except ValueError:
-            raise UserError(f"{sidecar}: malformed signal value") from None
-        if signals.shape != (n_vertices,):
-            raise UserError(
-                f"{sidecar}: {signals.size} signal values for {n_vertices} vertices"
-            )
-    else:
+    if not sidecar.exists():
         warnings.warn(f"{path}: no {sidecar.name} sidecar, defaulting signal to 0")
-        signals = np.zeros(n_vertices)
+        return fs
     try:
-        return DiscreteFshape(vertices=vertices, signals=signals, cells=faces)
-    except ValueError as exc:
-        raise UserError(f"{path}: {exc}") from None
+        signals = np.array([float(tok) for tok in sidecar.read_text().split()], dtype=float)
+    except ValueError:
+        raise UserError(f"{sidecar}: malformed signal value") from None
+    if signals.shape != (n_vertices,):
+        raise UserError(f"{sidecar}: {signals.size} signal values for {n_vertices} vertices")
+    return fs.with_(signals=signals)
 
 
 def _write_off(path: Path, fs: DiscreteFshape) -> None:
@@ -312,21 +320,6 @@ def _write_off(path: Path, fs: DiscreteFshape) -> None:
     _signal_sidecar(path).write_text(
         "\n".join(_fmt(v) for v in fs.signals) + "\n"
     )
-
-
-def _check_indices(path: Path, cells: np.ndarray, n_vertices: int) -> None:
-    if cells.size == 0:
-        return
-    if cells.min() >= 1 and cells.max() == n_vertices:
-        raise UserError(
-            f"{path}: cell indices look 1-based (min {cells.min()}, max {cells.max()} "
-            f"== vertex count); this reader requires 0-based indices"
-        )
-    if cells.min() < 0 or cells.max() >= n_vertices:
-        raise UserError(
-            f"{path}: cell index {cells.max() if cells.max() >= n_vertices else cells.min()} "
-            f"out of range [0, {n_vertices})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -445,71 +438,86 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
 # JSON configuration
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+def _object(value, allowed: set[str], where: str) -> dict:
+    """A JSON object with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise UserError(f"config: {where} must be an object")
+    unknown = set(value) - allowed
     if unknown:
         raise UserError(f"config: unknown key(s) {sorted(unknown)} in {where}")
+    return value
 
 
-def _integer(value, where: str) -> int:
+def _objects(value, allowed: set[str], where: str) -> list[dict]:
+    """A JSON list of objects, each with no keys outside ``allowed``."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise UserError(f"config: {where} must be a list of objects")
+    return [_object(item, allowed, where) for item in value]
+
+
+def _value(obj: dict, key: str, prefix: str):
+    """A required key of a config object, and its path for messages."""
+    where = prefix + key
+    if key not in obj:
+        raise UserError(f"config: missing {where}")
+    return obj[key], where
+
+
+def _integer(obj: dict, key: str, prefix: str = "") -> int:
     """A JSON number with an integral value; booleans, strings and fractions fail."""
+    value, where = _value(obj, key, prefix)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise UserError(f"config: {where} must be an integer, got {value!r}")
     return int(value)
 
 
-def _real(value, where: str) -> float:
+def _real(obj: dict, key: str, prefix: str = "") -> float:
     """A finite JSON number; booleans, strings, NaN and infinities fail."""
+    value, where = _value(obj, key, prefix)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise UserError(f"config: {where} must be a finite number, got {value!r}")
     return float(value)
 
 
 def config_from_dict(data: dict) -> MatchConfig:
-    """Build a MatchConfig from a JSON-style dict; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise UserError("config: top level must be a JSON object")
-    _reject_unknown(data, set(DEFAULT_CONFIG), "top level")
-    merged = {**DEFAULT_CONFIG, **data}
+    """Build a MatchConfig from a JSON-style dict; unknown keys are rejected,
+    and a missing or wrong-typed value is reported by its path."""
+    merged = {**DEFAULT_CONFIG, **_object(data, set(DEFAULT_CONFIG), "top level")}
+    kern = _object(merged["deformation_kernel"], {"family", "terms"}, "deformation_kernel")
+    terms, where = _value(kern, "terms", "deformation_kernel.")
+    terms = _objects(terms, {"weight", "sigma"}, where)
+    where += "."
+    fid = _object(merged["fidelity"], {"sigma_p", "sigma_f", "kt_mode"}, "fidelity")
+    met = _object(merged["metric"], {"s", "scheme"}, "metric")
+    schedule = _objects(merged["schedule"], {"scale_p", "scale_f", "iters"}, "schedule")
     try:
-        kern = merged["deformation_kernel"]
-        _reject_unknown(kern, {"family", "terms"}, "deformation_kernel")
-        terms = []
-        for item in kern["terms"]:
-            _reject_unknown(item, {"weight", "sigma"}, "deformation_kernel.terms")
-            weight = _real(item["weight"], "deformation_kernel.terms.weight")
-            terms.append((weight, _real(item["sigma"], "deformation_kernel.terms.sigma")))
-        deformation = RadialKernelSpec(kern["family"], tuple(terms))
-        fid = merged["fidelity"]
-        _reject_unknown(fid, {"sigma_p", "sigma_f", "kt_mode"}, "fidelity")
-        kernels = VarifoldKernels(
-            kp=RadialKernelSpec("gaussian", ((1.0, _real(fid["sigma_p"], "fidelity.sigma_p")),)),
-            kf=RadialKernelSpec("gaussian", ((1.0, _real(fid["sigma_f"], "fidelity.sigma_f")),)),
-            kt=GrassmannKernelSpec(fid.get("kt_mode", "unoriented_squared")),
-        )
-        met = merged["metric"]
-        _reject_unknown(met, {"s", "scheme"}, "metric")
-        metric = FunctionalMetric(_integer(met["s"], "metric.s"), met.get("scheme", "p1"))
-        stages = []
-        for item in merged["schedule"]:
-            _reject_unknown(item, {"scale_p", "scale_f", "iters"}, "schedule")
-            iters = _integer(item["iters"], "schedule.iters")
-            scale_p = _real(item["scale_p"], "schedule.scale_p")
-            scale_f = _real(item["scale_f"], "schedule.scale_f")
-            stages.append(ScaleStage(scale_p, scale_f, iters))
         return MatchConfig(
-            gamma_V=_real(merged["gamma_V"], "gamma_V"),
-            gamma_f=_real(merged["gamma_f"], "gamma_f"),
-            gamma_W=_real(merged["gamma_W"], "gamma_W"),
-            deformation_kernel=deformation,
-            fidelity_kernels=kernels,
-            metric=metric,
-            n_steps=_integer(merged["n_steps"], "n_steps"),
-            scale_schedule=tuple(stages),
-            step_init=_real(merged["step_init"], "step_init"),
-            grad_tol=_real(merged["grad_tol"], "grad_tol"),
+            gamma_V=_real(merged, "gamma_V"),
+            gamma_f=_real(merged, "gamma_f"),
+            gamma_W=_real(merged, "gamma_W"),
+            deformation_kernel=RadialKernelSpec(
+                _value(kern, "family", "deformation_kernel.")[0],
+                tuple((_real(t, "weight", where), _real(t, "sigma", where)) for t in terms),
+            ),
+            fidelity_kernels=VarifoldKernels(
+                kp=gaussian(_real(fid, "sigma_p", "fidelity.")),
+                kf=gaussian(_real(fid, "sigma_f", "fidelity.")),
+                kt=GrassmannKernelSpec(fid.get("kt_mode", "unoriented_squared")),
+            ),
+            metric=FunctionalMetric(_integer(met, "s", "metric."), met.get("scheme", "p1")),
+            n_steps=_integer(merged, "n_steps"),
+            scale_schedule=tuple(
+                ScaleStage(
+                    _real(st, "scale_p", "schedule."),
+                    _real(st, "scale_f", "schedule."),
+                    _integer(st, "iters", "schedule."),
+                )
+                for st in schedule
+            ),
+            step_init=_real(merged, "step_init"),
+            grad_tol=_real(merged, "grad_tol"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise UserError(f"config: {exc}") from None
 
 

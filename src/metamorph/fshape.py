@@ -10,6 +10,8 @@ frames, volume gradients) is computed. Since an fshape never changes, its
 record is memoised on the instance: every later call on the same fshape
 returns the same object. Two threads that race on a fresh fshape at worst
 both compute the same record, and one of the two is kept.
+``scatter_cells`` is the one sum of per-cell vertex values onto the
+vertices, for the metrics, their gradients and the fidelity's gradient.
 """
 
 from __future__ import annotations
@@ -193,6 +195,20 @@ class CellGeometry:
     cell_signals: np.ndarray
     edges: np.ndarray
     volume_grads: np.ndarray
+
+
+def scatter_cells(cells: np.ndarray, local: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Sum per-cell vertex values onto the vertices: ``local[t, i]`` (a scalar
+    or an n-vector) is added to vertex ``cells[t, i]``, in cell order, by one
+    ``np.bincount`` per component."""
+    idx = cells.ravel()
+    if local.ndim == 2:
+        return np.bincount(idx, weights=local.ravel(), minlength=n_vertices)
+    flat = local.reshape(idx.size, -1)
+    return np.stack(
+        [np.bincount(idx, weights=flat[:, k], minlength=n_vertices) for k in range(flat.shape[1])],
+        axis=1,
+    )
 
 
 def bounding_box_diagonal(vertices: np.ndarray) -> float:

@@ -2,29 +2,29 @@
 
 All radial profiles are functions of the *squared* distance u = |x - y|^2.
 This module holds the pairwise routines that every pairwise sum uses:
-``_sq_dists_into`` (behind ``pairwise_sq_dists``) is the one distance
-routine, for positions and signals alike, ``_profile`` the one formula for
-k(u) or k'(u), ``_profile_pair`` the one that gives both, and k''(u) when
-asked, from the same exp (Gaussian) or quotient (Cauchy), ``offset_sum`` the
-one reduction of weighted pair offsets and ``_tiles`` the one routine that
-sets tile shapes. The deformation sums (``kernel_conv``, ``quad_form_grad_x``
-and their joint tangent ``kernel_tangent``) and the varifold sweeps run over
-row tiles whose buffers together hold about 2 * TILE_FLOATS floats (or one
-row, if longer): each tile's distances are turned into kernel values in
-place and reduced straight into its outputs, so a P x Q sum takes O(PQ) time
-and O(TILE_FLOATS + Q) working memory, with no P x Q matrix and no P x Q x n
-difference tensor. Tiles of 2^15 pairs per buffer
-keep a call's buffers near 0.5 MB, well inside a 4 MB L2 cache next to the
-inputs and outputs; 2 MB buffers measured up to twice as slow. Self sums (y
-is x) are symmetric: the tile of rows [s, e) starts at its diagonal block,
-covering the columns [s, P), and the part right of that block is reduced a
-second time, transposed, into the rows [e, P), so each pair is evaluated
-once. As the columns shrink the tiles grow taller, so every tile holds about
-the same number of pairs. The tiling depends only on the input shapes and
-the tiles run in a fixed order, so results are deterministic. Buffers and
-outputs are allocated per call, so the functions are safe to call
-concurrently on shared inputs. Frame kernels take unit frames as given;
-``DiscreteVarifold`` validates them at construction.
+``_sq_dists_into`` is the one distance routine, for positions and signals
+alike, ``_profile`` the one formula for k(u) or k'(u), ``_profile_pair`` the
+one that gives both, and k''(u) when asked, from the same exp (Gaussian) or
+quotient (Cauchy), ``offset_sum`` the one reduction of weighted pair offsets
+and ``_tiles`` the one routine that sets tile shapes. The deformation sums
+(``kernel_conv``, ``quad_form_grad_x`` and their joint tangent
+``kernel_tangent``) and the varifold sweeps run over row tiles whose buffers
+together hold about 2 * TILE_FLOATS floats (or one row, if longer): each
+tile's distances are turned into kernel values in place and reduced straight
+into its outputs, so a P x Q sum takes O(PQ) time and O(TILE_FLOATS + Q)
+working memory, with no P x Q matrix and no P x Q x n difference tensor.
+Tiles of 2^15 pairs per buffer keep a call's buffers near 0.5 MB, well
+inside a 4 MB L2 cache next to the inputs and outputs; 2 MB buffers measured
+up to twice as slow. Self sums (y is x) are symmetric: the tile of rows
+[s, e) starts at its diagonal block, covering the columns [s, P), and the
+part right of that block is reduced a second time, transposed, into the rows
+[e, P), so each pair is evaluated once. As the columns shrink the tiles grow
+taller, so every tile holds about the same number of pairs. The tiling
+depends only on the input shapes and the tiles run in a fixed order, so
+results are deterministic. Buffers and outputs are allocated per call, so
+the functions are safe to call concurrently on shared inputs. Frame kernels
+take unit frames as given; ``DiscreteVarifold`` validates them at
+construction.
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ def _profile_pair(spec: RadialKernelSpec, u: np.ndarray, du: np.ndarray, ddu=Non
     return u, du
 
 
-def radial_eval(spec: RadialKernelSpec, u):
-    """Kernel value at squared distance(s) u."""
-    out = _profile(spec, np.array(u, dtype=float))
-    return out if out.ndim else float(out)
-
-
 def _sq_dists_into(x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Write |x_i - y_j|^2 into out, one coordinate at a time, with t as scratch."""
     np.subtract.outer(x[:, 0], y[:, 0], out=out)
@@ -154,16 +148,6 @@ def _sq_dists_into(x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray)
         t *= t
         out += t
     return out
-
-
-def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """|x_i - y_j|^2 matrix, exact for coincident points.
-
-    Accumulates one coordinate at a time into the P x Q output, with one
-    P x Q scratch buffer for the squared coordinate differences.
-    """
-    shape = (x.shape[0], y.shape[0])
-    return _sq_dists_into(x, y, np.empty(shape), np.empty(shape))
 
 
 def offset_sum(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -209,8 +209,7 @@ def match(
     step = cfg.step_init
     converged = False
     reason = "max iterations"
-    state0 = ShootingState(x=source.vertices, f=source.signals, p=p0, pf=pf)
-    traj = integrate_forward(state0, source, cfg.dynamics(), keep_stages=True)
+    traj = _descent_shot(p0, pf, _problem(source, target_var, cfg, cfg.scale_schedule[0]))
     for stage in cfg.scale_schedule:
         problem = _problem(source, target_var, cfg, stage)
         J, energy, fid = _score(traj, problem)

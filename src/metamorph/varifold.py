@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fshape import DiscreteFshape, cell_geometry, _frozen
+from .fshape import DiscreteFshape, _frozen, cell_geometry, scatter_cells
 from .kernels import (
     GrassmannKernelSpec,
     RadialKernelSpec,
@@ -234,35 +234,29 @@ def grad_fidelity(
     """Gradients of the fidelity w.r.t. vertex positions and vertex signals.
 
     Chains the per-cell partials (center, frame, weight, mean signal) back to
-    the vertices of each cell.
+    the vertices of each cell, sums them per cell and scatters each output
+    once.
     """
     mu = to_varifold(fs1)
     # d fidelity / d(cell data): the mu-mu term doubles by symmetry.
     dc, ds, du, dw = _sweep_partials(mu, ((mu, 2.0), (target, -2.0)), K)
 
-    cells = fs1.cells
     d = fs1.dim_d
-    grad_x = np.zeros_like(fs1.vertices)
-    grad_f = np.zeros_like(fs1.signals)
-
-    # Barycenters and mean signals spread uniformly over cell vertices.
-    np.add.at(grad_x, cells, np.repeat(dc[:, None, :] / (d + 1), d + 1, axis=1))
-    np.add.at(grad_f, cells, np.repeat(ds[:, None] / (d + 1), d + 1, axis=1))
-
-    # Weights follow the cell-volume gradients.
+    m = d + 1
     geom = cell_geometry(fs1)
-    np.add.at(grad_x, cells, dw[:, None, None] * geom.volume_grads)
-
     # Frames: chain through the normalization of the raw frame vector (the
     # edge for d=1, the edge cross product for d=2), whose norm is d * volume.
     unit = geom.frames
-    norm = d * geom.volumes
-    a = (du - np.sum(du * unit, axis=1)[:, None] * unit) / norm[:, None]
+    a = (du - np.sum(du * unit, axis=1)[:, None] * unit) / (d * geom.volumes)[:, None]
     if d == 1:
-        frame_contrib = np.stack([-a, a], axis=1)
+        local = np.stack([-a, a], axis=1)
     else:
         c1 = np.cross(geom.edges[:, 1], a)
         c2 = np.cross(a, geom.edges[:, 0])
-        frame_contrib = np.stack([-(c1 + c2), c1, c2], axis=1)
-    np.add.at(grad_x, cells, frame_contrib)
+        local = np.stack([-(c1 + c2), c1, c2], axis=1)
+    # Weights follow the cell-volume gradients; barycenters and mean signals
+    # spread uniformly over the cell vertices.
+    local += dw[:, None, None] * geom.volume_grads + (dc / m)[:, None, :]
+    grad_x = scatter_cells(fs1.cells, local, fs1.n_vertices)
+    grad_f = scatter_cells(fs1.cells, np.repeat(ds[:, None] / m, m, axis=1), fs1.n_vertices)
     return grad_x, grad_f

@@ -1,7 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 from metamorph import DiscreteFshape
+from metamorph.fem import CellMatrix, _stiffness_local
+from metamorph.fshape import cell_geometry
+
+
+def radial_profile(spec, u, deriv=False):
+    """k(u), or k'(u) with `deriv`, of a radial kernel spec in closed form,
+    term by term, for one squared distance u."""
+    total = 0.0
+    for w, s in spec.terms:
+        a = u / (s * s)
+        if spec.family == "gaussian":
+            total += -0.5 * w / (s * s) * math.exp(-0.5 * a) if deriv else w * math.exp(-0.5 * a)
+        else:
+            total += -w / (s * s) / (1.0 + a) ** 2 if deriv else w / (1.0 + a)
+    return total
+
+
+def quadratic_form(A, f):
+    """f^T A f for a matrix held as cell blocks."""
+    f = np.asarray(f, dtype=float)
+    return float(f @ (A @ f))
+
+
+def stiffness_matrix(fs):
+    """The H1 metric's stiffness part alone: G G^T / vol per cell."""
+    return CellMatrix(fs.cells, _stiffness_local(cell_geometry(fs)), fs.n_vertices)
 
 
 def triangle_strip(n_tri, seed=None, jitter=0.08):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from metamorph import (
-    AdjointState,
     DiscreteFshape,
     DynamicsConfig,
     FunctionalMetric,
@@ -18,24 +17,22 @@ from metamorph import (
     ShootingState,
     SphereState,
     VarifoldKernels,
-    assemble_metric,
     fidelity,
-    grad_fidelity,
     integrate_forward,
     integrate_sphere,
-    lumped_vertex_weights,
     match,
     objective,
-    reduced_hamiltonian,
     to_varifold,
 )
-from metamorph.dynamics import euclidean_objective_gradient
-from metamorph.fem import assemble_stiffness, quadratic_form
+from metamorph.dynamics import euclidean_objective_gradient, reduced_hamiltonian
+from metamorph.fem import assemble_metric, lumped_vertex_weights
+from metamorph.fshape import AdjointState
 from metamorph.matching import ScaleStage
 from metamorph.meshes import bump_signal, grid_square, icosphere
 from metamorph.sphere import mean_radius, sphere_vertex_momenta
+from metamorph.varifold import grad_fidelity
 
-from conftest import jittered_grid, triangle_strip
+from conftest import jittered_grid, quadratic_form, stiffness_matrix, triangle_strip
 
 
 def _report(number, name, ok, detail=""):
@@ -277,7 +274,7 @@ def test_criterion_7_fem_exactness():
     ok = abs(seg_val - L / 3.0) < 1e-14 and abs(tri_val - 0.5 / 6.0) < 1e-14
     # constants give c^2 * volume for every scheme
     fs = triangle_strip(6, seed=7)
-    from metamorph import cell_geometry
+    from metamorph.fshape import cell_geometry
 
     vol = float(cell_geometry(fs).volumes.sum())
     c = 1.3
@@ -312,7 +309,7 @@ def test_criterion_8_varifold_metric_properties():
     norm = float(tv_self.weights @ tv_self.weights)
     ok = self_fid <= 1e-12 * norm
     # symmetry of the underlying inner product
-    from metamorph import varifold_inner
+    from metamorph.varifold import varifold_inner
 
     other = to_varifold(triangle_strip(5, seed=10))
     ok = ok and abs(
@@ -443,7 +440,7 @@ def test_criterion_10_l2_vs_h1_smoothness():
         result = match(src, tgt, cfg)
         end = result.trajectory.final
         fs_end = src.with_(vertices=end.x, signals=end.f)
-        stiffness = quadratic_form(assemble_stiffness(fs_end), end.f)
+        stiffness = quadratic_form(stiffness_matrix(fs_end), end.f)
         _, J, _, fid = result.objective_history[-1]
         return fid, stiffness, J
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from metamorph import (
-    AdjointState,
     DiscreteFshape,
     DynamicsConfig,
     FunctionalMetric,
@@ -14,21 +13,23 @@ from metamorph import (
     RadialKernelSpec,
     ShootingState,
     VarifoldKernels,
-    integrate_adjoint_backward,
     integrate_forward,
-    kernel_conv,
-    lumped_vertex_weights,
     match,
     objective,
-    quad_form,
-    reduced_hamiltonian,
     to_varifold,
 )
 from metamorph import dynamics, fshape
 from metamorph.cli import GRADCHECK_TOL
-from metamorph.dynamics import _rhs_blocks, _rhs_tangent, euclidean_objective_gradient
-from metamorph.fem import solve_spd
-from metamorph.kernels import gaussian
+from metamorph.dynamics import (
+    _rhs_blocks,
+    _rhs_tangent,
+    euclidean_objective_gradient,
+    integrate_adjoint_backward,
+    reduced_hamiltonian,
+)
+from metamorph.fem import lumped_vertex_weights, solve_spd
+from metamorph.fshape import AdjointState
+from metamorph.kernels import gaussian, kernel_conv, quad_form
 from metamorph.matching import ScaleStage
 from metamorph.meshes import icosphere
 
@@ -682,7 +683,7 @@ def test_objective_gradient_energy_only_when_fidelity_off():
     gp, gpf = euclidean_objective_gradient(p0, pf, problem)
     expected_gp = kernel_conv(KERNEL, src.vertices, src.vertices, p0) / cfg.gamma_V
     np.testing.assert_allclose(gp, expected_gp, atol=1e-9)
-    from metamorph import assemble_metric
+    from metamorph.fem import assemble_metric
     from metamorph.fem import solve_spd
 
     h0 = solve_spd(assemble_metric(src, cfg.metric), pf)

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from metamorph import (
-    DiscreteFshape,
-    FunctionalMetric,
+from metamorph import DiscreteFshape, FunctionalMetric
+from metamorph.fem import (
+    CellMatrix,
     assemble_metric,
-    cell_geometry,
     lumped_vertex_weights,
     metric_form_grad_x,
+    solve_spd,
 )
-from metamorph.fem import CellMatrix, assemble_stiffness, quadratic_form, solve_spd
+from metamorph.fshape import cell_geometry
 
-from conftest import jittered_grid, triangle_strip
+from conftest import jittered_grid, quadratic_form, stiffness_matrix, triangle_strip
 
 L2_LUMPED = FunctionalMetric(0, "lumped")
 L2_P1 = FunctionalMetric(0, "p1")
@@ -106,7 +106,7 @@ def test_stiffness_unit_right_triangle():
         cells=[[0, 1, 2]],
     )
     # interpolant f(u, v) = u has |grad| = 1 on a cell of area 1/2
-    assert quadratic_form(assemble_stiffness(fs), fs.signals) == pytest.approx(0.5)
+    assert quadratic_form(stiffness_matrix(fs), fs.signals) == pytest.approx(0.5)
 
 
 def test_h1_constant_equals_l2():
@@ -389,7 +389,7 @@ REFERENCE_MESHES = {
 @pytest.mark.parametrize("mesh", sorted(REFERENCE_MESHES))
 def test_stiffness_matches_reference(mesh):
     fs = REFERENCE_MESHES[mesh]()
-    A = assemble_stiffness(fs)
+    A = stiffness_matrix(fs)
     K = np.column_stack([A @ e for e in np.eye(fs.n_vertices)])
     ref = _reference_stiffness(fs).toarray()
     assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()

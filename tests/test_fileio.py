@@ -179,7 +179,8 @@ def test_write_trajectory_outputs(tmp_path):
 
 
 def test_write_trajectory_hamiltonian_column_constant(tmp_path):
-    from metamorph import FunctionalMetric, RadialKernelSpec, lumped_vertex_weights
+    from metamorph import FunctionalMetric, RadialKernelSpec
+    from metamorph.fem import lumped_vertex_weights
 
     fs = triangle_strip(6, seed=3)
     cfg = DynamicsConfig(
@@ -227,7 +228,7 @@ def _h1_shot(n_steps=6):
 
 
 def test_write_trajectory_hamiltonian_column_equals_reduced_hamiltonian(tmp_path):
-    from metamorph import reduced_hamiltonian
+    from metamorph.dynamics import reduced_hamiltonian
 
     fs, cfg, traj = _h1_shot()
     write_trajectory(tmp_path / "geo", fs, traj, cfg)
@@ -302,6 +303,21 @@ def test_config_integer_fields_reject_non_integers(data):
 def test_config_real_fields_reject_non_finite_and_non_numbers(data):
     with pytest.raises(UserError, match="must be a finite number"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"fidelity": {"sigma_p": 0.1}}, "config: missing fidelity.sigma_f"),
+        ({"metric": {"scheme": "lumped"}}, "config: missing metric.s"),
+        ({"schedule": "abc"}, "config: schedule must be a list of objects"),
+        ({"deformation_kernel": "x"}, "config: deformation_kernel must be an object"),
+    ],
+)
+def test_config_names_missing_and_wrong_typed_values(data, message):
+    with pytest.raises(UserError) as excinfo:
+        config_from_dict(data)
+    assert str(excinfo.value) == message
 
 
 def test_config_integral_float_is_accepted():

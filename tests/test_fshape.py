@@ -4,7 +4,8 @@ import threading
 import numpy as np
 import pytest
 
-from metamorph import DiscreteFshape, cell_geometry, validate_fshape
+from metamorph import DiscreteFshape, validate_fshape
+from metamorph.fshape import cell_geometry
 
 from conftest import triangle_strip
 

@@ -4,43 +4,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metamorph import (
-    DiscreteVarifold,
-    GrassmannKernelSpec,
-    RadialKernelSpec,
-    VarifoldKernels,
-    fidelity,
-    grad_fidelity,
-    kernel_conv,
-    quad_form,
-    quad_form_grad_x,
-    radial_eval,
-    to_varifold,
-    varifold_inner,
-)
+from metamorph import GrassmannKernelSpec, RadialKernelSpec, VarifoldKernels, fidelity, to_varifold
 from metamorph import kernels, varifold
-from metamorph.kernels import kernel_tangent, offset_sum, pairwise_sq_dists
+from metamorph.kernels import kernel_conv, kernel_tangent, offset_sum, quad_form, quad_form_grad_x
+from metamorph.varifold import DiscreteVarifold, grad_fidelity, varifold_inner
 
-from conftest import triangle_strip
+from conftest import radial_profile, triangle_strip
 
 GAUSS = RadialKernelSpec("gaussian", ((1.0, 0.3),))
 CAUCHY = RadialKernelSpec("cauchy", ((1.0, 0.3),))
 TWO_TERM = RadialKernelSpec("gaussian", ((1.0, 0.2), (1.0, 0.1)))
 
 
+def _k(spec, u):
+    """k(u) from the kernels' one in-place profile routine."""
+    return kernels._profile(spec, np.array(u, dtype=float))
+
+
+def _sq_dists(x, y):
+    """|x_i - y_j|^2 from the kernels' one distance routine, on fresh buffers."""
+    shape = (x.shape[0], y.shape[0])
+    return kernels._sq_dists_into(x, y, np.empty(shape), np.empty(shape))
+
+
 def test_radial_eval_at_zero():
-    assert radial_eval(GAUSS, 0.0) == pytest.approx(1.0)
-    assert radial_eval(CAUCHY, 0.0) == pytest.approx(1.0)
-    assert radial_eval(TWO_TERM, 0.0) == pytest.approx(2.0)
+    assert _k(GAUSS, 0.0) == pytest.approx(1.0)
+    assert _k(CAUCHY, 0.0) == pytest.approx(1.0)
+    assert _k(TWO_TERM, 0.0) == pytest.approx(2.0)
 
 
 def test_radial_eval_reference_value():
     # exp(-0.09 / (2 * 0.09)) = exp(-1/2)
-    assert radial_eval(GAUSS, 0.09) == pytest.approx(0.6065306597126334, rel=1e-12)
+    assert _k(GAUSS, 0.09) == pytest.approx(0.6065306597126334, rel=1e-12)
 
 
 def test_radial_eval_cauchy_value():
-    assert radial_eval(CAUCHY, 0.09) == pytest.approx(0.5)
+    assert _k(CAUCHY, 0.09) == pytest.approx(0.5)
 
 
 def test_radial_spec_validation():
@@ -66,7 +65,7 @@ def test_radial_deriv_matches_fd(spec):
     u = np.array([0.01, 0.3, 2.0])
     eps = 1e-6
     _, dk = _pair(spec, u)
-    fd = (radial_eval(spec, u + eps) - radial_eval(spec, u - eps)) / (2 * eps)
+    fd = (_k(spec, u + eps) - _k(spec, u - eps)) / (2 * eps)
     np.testing.assert_allclose(dk, fd, rtol=1e-7)
 
 
@@ -74,9 +73,9 @@ def test_radial_deriv_matches_fd(spec):
 def test_profile_pair_matches_closed_forms(spec):
     u = np.array([0.0, 0.01, 0.3, 2.0])
     k, dk = _pair(spec, u)
-    # the value is radial_eval's to the bit, so a sweep's value and partials agree
-    np.testing.assert_array_equal(k, radial_eval(spec, u))
-    expected = [_profile_loop(spec, v, deriv=True) for v in u]
+    # the value is _profile's to the bit, so a sweep's value and partials agree
+    np.testing.assert_array_equal(k, _k(spec, u))
+    expected = [radial_profile(spec, v, deriv=True) for v in u]
     np.testing.assert_allclose(dk, expected, rtol=1e-14)
 
 
@@ -104,16 +103,16 @@ def test_pairwise_sq_dists_matches_double_loop():
         expected = np.array(
             [[sum((x[i, k] - y[j, k]) ** 2 for k in range(n)) for j in range(5)] for i in range(7)]
         )
-        np.testing.assert_allclose(pairwise_sq_dists(x, y), expected, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(_sq_dists(x, y), expected, rtol=1e-15, atol=0.0)
 
 
 def test_pairwise_sq_dists_exact_zero_for_coincident_points():
     rng = np.random.default_rng(11)
     x = 100.0 + rng.standard_normal((6, 3))
-    assert np.all(np.diag(pairwise_sq_dists(x, x)) == 0.0)
+    assert np.all(np.diag(_sq_dists(x, x)) == 0.0)
     y = rng.standard_normal((4, 3))
     xd = np.vstack([y[2], x[:2], y[0]])
-    u = pairwise_sq_dists(xd, y)
+    u = _sq_dists(xd, y)
     assert u[0, 2] == 0.0 and u[3, 0] == 0.0
     assert np.all(u[1:3] > 0.0)
 
@@ -124,7 +123,7 @@ def test_pairwise_sq_dists_builds_no_difference_tensor():
     x = np.random.default_rng(12).standard_normal((P, 3))
     tracemalloc.start()
     try:
-        pairwise_sq_dists(x, x)
+        _sq_dists(x, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -172,17 +171,6 @@ def test_varifold_sweeps_hold_no_cell_pair_matrix():
         assert peak < 0.25 * T * T * 8
 
 
-def _profile_loop(spec, u, deriv=False):
-    total = 0.0
-    for w, s in spec.terms:
-        a = u / (s * s)
-        if spec.family == "gaussian":
-            total += -0.5 * w / (s * s) * math.exp(-0.5 * a) if deriv else w * math.exp(-0.5 * a)
-        else:
-            total += -w / (s * s) / (1.0 + a) ** 2 if deriv else w / (1.0 + a)
-    return total
-
-
 def _profile_dd(spec, u):
     """k''(u), term by term."""
     total = 0.0
@@ -212,7 +200,7 @@ def test_tiled_kernel_conv_matches_double_loop(spec, P, monkeypatch):
     alpha = rng.standard_normal((Q, 3))
     monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * Q)
     expected = np.array(
-        [sum(_profile_loop(spec, _sq(x[i], y[j])) * alpha[j] for j in range(Q)) for i in range(P)]
+        [sum(radial_profile(spec, _sq(x[i], y[j])) * alpha[j] for j in range(Q)) for i in range(P)]
     )
     out = kernel_conv(spec, x, y, alpha)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
@@ -227,7 +215,7 @@ def test_tiled_quad_form_grad_matches_double_loop(spec, P, monkeypatch):
     p = rng.standard_normal((P, 3))
     monkeypatch.setattr(kernels, "TILE_FLOATS", TILE_ROWS * P)
     def force(i, j):
-        return _profile_loop(spec, _sq(x[i], x[j]), deriv=True) * (p[i] @ p[j]) * (x[i] - x[j])
+        return radial_profile(spec, _sq(x[i], x[j]), deriv=True) * (p[i] @ p[j]) * (x[i] - x[j])
 
     expected = np.array([4.0 * sum(force(i, j) for j in range(P)) for i in range(P)])
     out = quad_form_grad_x(spec, x, p)
@@ -249,8 +237,8 @@ def test_symmetric_tiles_match_double_loop(spec, P, monkeypatch):
     assert tiles[0] == slice(0, min(P, TILE_ROWS))
     assert (len(tiles) > 1) == (P > TILE_ROWS)
 
-    k = [[_profile_loop(spec, _sq(x[i], x[j])) for j in range(P)] for i in range(P)]
-    dk = [[_profile_loop(spec, _sq(x[i], x[j]), deriv=True) for j in range(P)] for i in range(P)]
+    k = [[radial_profile(spec, _sq(x[i], x[j])) for j in range(P)] for i in range(P)]
+    dk = [[radial_profile(spec, _sq(x[i], x[j]), deriv=True) for j in range(P)] for i in range(P)]
     conv = np.array([sum(k[i][j] * alpha[j] for j in range(P)) for i in range(P)])
     force = 4.0 * np.array(
         [sum(dk[i][j] * (alpha[i] @ alpha[j]) * (x[i] - x[j]) for j in range(P)) for i in range(P)]
@@ -287,7 +275,7 @@ def test_tiled_kernel_tangent_matches_double_loop(spec, P, monkeypatch):
     for i in range(P):
         for j in range(P):
             u = _sq(x[i], x[j])
-            k, dk = _profile_loop(spec, u), _profile_loop(spec, u, deriv=True)
+            k, dk = radial_profile(spec, u), radial_profile(spec, u, deriv=True)
             ddk = _profile_dd(spec, u)
             a = (x[i] - x[j]) @ (wx[i] - wx[j])
             pi, om = p[i] @ p[j], wp[i] @ p[j] + p[i] @ wp[j]
@@ -348,7 +336,7 @@ def test_kernel_conv_two_point_sum():
     x = np.array([[0.0, 0.0], [delta, 0.0]])
     alpha = np.array([[1.0, 2.0], [1.0, 2.0]])
     out = kernel_conv(GAUSS, x, x, alpha)
-    expected = (1.0 + radial_eval(GAUSS, delta**2)) * alpha[0]
+    expected = (1.0 + radial_profile(GAUSS, delta**2)) * alpha[0]
     np.testing.assert_allclose(out[0], expected, rtol=1e-14)
 
 
@@ -419,12 +407,12 @@ def test_quad_form_grad_antisymmetric_pair():
 def test_scalar_kernel_eval_and_symmetry():
     # signals as an n = 1 point set, the way the varifold evaluates k_f
     a = np.array([[1.3], [0.2], [0.9]])
-    K = radial_eval(GAUSS, pairwise_sq_dists(a, a))
+    K = _k(GAUSS, _sq_dists(a, a))
     np.testing.assert_array_equal(np.diag(K), 1.0)
     np.testing.assert_array_equal(K, K.T)
     for i in range(3):
         for j in range(3):
-            assert K[i, j] == radial_eval(GAUSS, (a[i, 0] - a[j, 0]) ** 2)
+            assert K[i, j] == _k(GAUSS, (a[i, 0] - a[j, 0]) ** 2)
 
 
 def test_scalar_kernel_grad_matches_fd():
@@ -433,15 +421,15 @@ def test_scalar_kernel_grad_matches_fd():
     a = np.array([[0.0], [1.2], [2.0]])
     b = np.array([[0.5], [-0.3], [2.0], [0.1]])
     c = rng.standard_normal((3, 4))
-    _, dk = _pair(GAUSS, pairwise_sq_dists(a, b))
+    _, dk = _pair(GAUSS, _sq_dists(a, b))
     grad = offset_sum(2.0 * dk * c, a, b)[:, 0]
     eps = 1e-7
     for i in range(3):
         fd = sum(
             c[i, j]
             * (
-                radial_eval(GAUSS, (a[i, 0] + eps - b[j, 0]) ** 2)
-                - radial_eval(GAUSS, (a[i, 0] - eps - b[j, 0]) ** 2)
+                radial_profile(GAUSS, (a[i, 0] + eps - b[j, 0]) ** 2)
+                - radial_profile(GAUSS, (a[i, 0] - eps - b[j, 0]) ** 2)
             )
             / (2 * eps)
             for j in range(4)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from metamorph import cell_geometry, validate_fshape
+from metamorph import validate_fshape
+from metamorph.fshape import cell_geometry
 from metamorph.meshes import bump_signal, grid_square, icosphere, polyline
 
 

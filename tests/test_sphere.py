@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from metamorph import SphereState, chi, chi_prime, integrate_sphere
+from metamorph import SphereState, integrate_sphere
+from metamorph.sphere import chi, chi_prime
 from metamorph.meshes import icosphere
 from metamorph.sphere import mean_radius, sphere_vertex_momenta
 

@@ -5,22 +5,19 @@ import pytest
 
 from metamorph import (
     DiscreteFshape,
-    DiscreteVarifold,
     GrassmannKernelSpec,
     RadialKernelSpec,
     VarifoldKernels,
-    cell_geometry,
     fidelity,
-    grad_fidelity,
     to_varifold,
-    varifold_inner,
 )
 from metamorph import fshape, kernels
 from metamorph import varifold as varifold_module
-from metamorph.kernels import radial_eval
+from metamorph.fshape import cell_geometry
 from metamorph.meshes import polyline
+from metamorph.varifold import DiscreteVarifold, grad_fidelity, varifold_inner
 
-from conftest import triangle_strip
+from conftest import radial_profile, triangle_strip
 
 K = VarifoldKernels(
     kp=RadialKernelSpec("gaussian", ((1.0, 0.4),)),
@@ -95,14 +92,14 @@ def test_inner_two_dirac_hand_sum():
         for j in range(2):
             u2 = float(((both.centers[i] - both.centers[j]) ** 2).sum())
             expected += (
-                radial_eval(K.kp, u2)
-                * radial_eval(K.kf, (both.cell_signals[i] - both.cell_signals[j]) ** 2)
+                radial_profile(K.kp, u2)
+                * radial_profile(K.kf, (both.cell_signals[i] - both.cell_signals[j]) ** 2)
                 * float(both.frames[i] @ both.frames[j]) ** 2  # unoriented_squared
                 * both.weights[i]
                 * both.weights[j]
             )
     assert varifold_inner(both, both, K) == pytest.approx(expected, rel=1e-14)
-    assert expected == pytest.approx(2 * w**2 * (1.0 + radial_eval(K.kp, delta**2)))
+    assert expected == pytest.approx(2 * w**2 * (1.0 + radial_profile(K.kp, delta**2)))
 
 
 def test_inner_brute_force_general():
@@ -113,8 +110,8 @@ def test_inner_brute_force_general():
         for j in range(b.weights.size):
             u2 = float(((a.centers[i] - b.centers[j]) ** 2).sum())
             expected += (
-                radial_eval(K.kp, u2)
-                * radial_eval(K.kf, (a.cell_signals[i] - b.cell_signals[j]) ** 2)
+                radial_profile(K.kp, u2)
+                * radial_profile(K.kf, (a.cell_signals[i] - b.cell_signals[j]) ** 2)
                 * float(a.frames[i] @ b.frames[j]) ** 2  # unoriented_squared
                 * a.weights[i]
                 * b.weights[j]
