@@ -9,24 +9,25 @@ momentum and functional momentum. The reduced Hamiltonian is
 with D(x) the signal-metric matrix. Geodesics follow the canonical equations;
 pf is a conserved quantity and is never integrated. H is quadratic in the
 momenta, so H at a sample is 1/2 <(p, pf), (dx, df)>, and a shot's energy
-and its gradient in (p0, pf) follow from the initial velocity. The
-trajectory keeps the velocity of every step's first flow-field evaluation.
-The fidelity's gradient is the exact
-discrete adjoint of the forward RK4 scheme: a forward pass made with
-``keep_stages`` records the stage points of every step, and h = D(x)^-1 pf
-at each of them (a plain shot keeps none), and the backward pass applies the
-transposed RK4 step at those same points (Sanz-Serna, SIAM Review 58(1),
-2016). Each transposed stage needs one vector-Jacobian product dF(z)^T V of
-the flow field. Since F = J grad H with J the canonical symplectic map,
-dF^T V equals the Hessian-vector product Hess(H) . (-J V): one forward-mode
-derivative of the flow field along w = -J V, in closed form (Vialard,
-Risser, Rueckert & Cotter, IJCV 2012). Its kernel part is one symmetric
-tiled pass, ``kernel_tangent``; its signal part assembles D(x) once and
-solves once for dh = D^-1 (w_pf - dD[w_x] h), then differentiates the
-metric's form gradient with the per-cell routine that builds it
-(``metric_tangent``).
-So an adjoint step costs four such products and no flow-field evaluation,
-and the gradient is exact for the discrete objective.
+and its gradient in (p0, pf) follow from the initial velocity. Each
+flow-field evaluation makes one kernel pass for K(x) p and the x-gradient of
+p^T K(x) p (``quad_form_grad_x``). The trajectory keeps H at every step's
+first flow-field evaluation as one float. The fidelity's gradient is the
+exact discrete adjoint of the forward RK4 scheme: a forward pass made with
+``keep_stages`` records the stage points of every step, h = D(x)^-1 pf at
+each of them and the first-stage velocities (a plain shot keeps none of
+these arrays), and the backward pass applies the transposed RK4 step at
+those same points (Sanz-Serna, SIAM Review 58(1), 2016). Each transposed
+stage needs one vector-Jacobian product dF(z)^T V of the flow field. Since
+F = J grad H with J the canonical symplectic map, dF^T V equals the
+Hessian-vector product Hess(H) . (-J V): one forward-mode derivative of the
+flow field along w = -J V, in closed form (Vialard, Risser, Rueckert &
+Cotter, IJCV 2012). Its kernel part is one symmetric tiled pass,
+``kernel_tangent``; its signal part assembles D(x) once and solves once for
+dh = D^-1 (w_pf - dD[w_x] h), then differentiates the metric's form gradient
+with the per-cell routine that builds it (``metric_tangent``). So an adjoint
+step costs four such products and no flow-field evaluation, and the gradient
+is exact for the discrete objective.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .fem import (
 from .fshape import AdjointState, DiscreteFshape, ShootingDiverged, ShootingState
 from .kernels import (
     RadialKernelSpec,
-    kernel_conv,
+    kernel_conv,  # noqa: F401 -- unused; bench/spans.py patches it here (ROADMAP direction 1)
     kernel_tangent,
     quad_form,
     quad_form_grad_x,
@@ -76,21 +77,25 @@ class Trajectory:
     """Geodesic samples at t_k = k / n_steps, k = 0..n_steps, and the stages
     of a shot made with ``keep_stages``.
 
+    ``hamiltonians[k]`` is H at ``states[k]``, the first stage of step k, for
+    k < n_steps, one float per step read from that stage's velocity;
+    ``energy`` is ``hamiltonians[0]``.
     ``stages`` is empty unless the shot kept its stages; then ``stages[k]``
     holds the (x, p) points at which the RK4 step from ``states[k]`` to
     ``states[k + 1]`` evaluated the flow field after its first stage (the
     first is ``states[k]`` itself). f does not enter the flow field and pf
     is constant, so (x, p) fixes each stage. ``solves[k]`` then holds
-    h = D(x)^-1 pf at the four stages of step k, the first at ``states[k]``.
-    ``velocities[k]`` is (dx, df) at ``states[k]``, the first stage of step
-    k, for k < n_steps; ``energy`` is the geodesic energy computed from
-    ``velocities[0]``. ``template`` is the mesh the shot deformed.
+    h = D(x)^-1 pf at the four stages of step k, the first at ``states[k]``,
+    and ``velocities[k]`` is (dx, df) at ``states[k]``; the energy's gradient
+    reads ``velocities[0]``. A plain shot keeps none of the three.
+    ``template`` is the mesh the shot deformed.
     """
 
     states: tuple[ShootingState, ...]
     stages: tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]
     solves: tuple[tuple[np.ndarray, ...], ...]
     velocities: tuple[tuple[np.ndarray, np.ndarray], ...]
+    hamiltonians: tuple[float, ...]
     template: DiscreteFshape
 
     @cached_property
@@ -99,14 +104,9 @@ class Trajectory:
         and its gradient measure its cells once."""
         return self.template.with_(vertices=self.final.x, signals=self.final.f)
 
-    def hamiltonian(self, k: int) -> float:
-        """H at ``states[k]`` for k < n_steps, from its recorded velocity."""
-        s = self.states[k]
-        return _hamiltonian(s.p, s.pf, *self.velocities[k])
-
     @property
     def energy(self) -> float:
-        return self.hamiltonian(0)
+        return self.hamiltonians[0]
 
     @property
     def n_steps(self) -> int:
@@ -167,14 +167,16 @@ def _rhs_blocks(
     linearizes at; dpf is identically zero.
 
     One fshape per state, so D(x) and its form gradient share one
-    ``cell_geometry`` record.
+    ``cell_geometry`` record, and one kernel pass gives K(x) p and the
+    x-gradient of p^T K(x) p.
     """
     fs_x = template.with_(vertices=x)
     D = assemble_metric(fs_x, cfg.metric)
     h = solve_spd(D, pf)
-    dx = kernel_conv(cfg.kernel, x, x, p) / cfg.gamma_V
+    conv, grad = quad_form_grad_x(cfg.kernel, x, p)
+    dx = conv / cfg.gamma_V
     df = h / cfg.gamma_f
-    dp = -quad_form_grad_x(cfg.kernel, x, p) / (2.0 * cfg.gamma_V)
+    dp = -grad / (2.0 * cfg.gamma_V)
     dp += metric_form_grad_x(fs_x, cfg.metric, h) / (2.0 * cfg.gamma_f)
     return dx, df, dp, h
 
@@ -211,9 +213,9 @@ def integrate_forward(
 ) -> Trajectory | None:
     """Classical fixed-step RK4 on [0, 1]; pf is copied, never integrated.
 
-    The trajectory keeps each step's first-stage velocity for the
-    Hamiltonian, the energy and its gradient, and with ``keep_stages`` every
-    step's stage points and their h = D(x)^-1 pf, which only the adjoint
+    The trajectory keeps H at each step's first stage, one float per step,
+    and with ``keep_stages`` every step's stage points, their
+    h = D(x)^-1 pf and its first-stage velocity, which only the gradient
     reads. ``states[0]`` is ``state0`` itself. With ``energy_bound``, a shot
     whose energy (read from its first flow-field evaluation) is at or above
     the bound stops there and returns None.
@@ -225,38 +227,51 @@ def integrate_forward(
     stages = []
     solves = []
     velocities = []
+    hamiltonians = []
     for k in range(cfg.n_steps):
         step = f"step {k + 1} of {cfg.n_steps}"
         # Overflow is left to the finiteness check below, which names the step.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ax1, af1, ap1, h1 = _rhs_blocks(template, cfg, x, p, pf)
-                velocities.append((ax1, af1))
-                if energy_bound is not None and k == 0:
-                    if _hamiltonian(p, pf, ax1, af1) >= energy_bound:
-                        return None
-                z2 = (x + 0.5 * dt * ax1, p + 0.5 * dt * ap1)
-                ax2, af2, ap2, h2 = _rhs_blocks(template, cfg, *z2, pf)
-                z3 = (x + 0.5 * dt * ax2, p + 0.5 * dt * ap2)
-                ax3, af3, ap3, h3 = _rhs_blocks(template, cfg, *z3, pf)
-                z4 = (x + dt * ax3, p + dt * ap3)
-                ax4, af4, ap4, h4 = _rhs_blocks(template, cfg, *z4, pf)
-                x = x + (dt / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
-                f = f + (dt / 6.0) * (af1 + 2.0 * af2 + 2.0 * af3 + af4)
-                p = p + (dt / 6.0) * (ap1 + 2.0 * ap2 + 2.0 * ap3 + ap4)
+                dx, df, dp, h = _rhs_blocks(template, cfg, x, p, pf)
+                hamiltonians.append(_hamiltonian(p, pf, dx, df))
+                if energy_bound is not None and hamiltonians[0] >= energy_bound:
+                    return None
+                if keep_stages:
+                    velocities.append((dx, df))
+                    points, hs = [], [h]
+                # The RK4 sums grow stage by stage, so a plain shot holds one
+                # stage's arrays at a time.
+                sx, sf, sp = dx, df, dp
+                for c, w in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+                    z = (x + c * dt * dx, p + c * dt * dp)
+                    dx, df, dp, h = _rhs_blocks(template, cfg, *z, pf)
+                    sx, sf, sp = sx + w * dx, sf + w * df, sp + w * dp
+                    if keep_stages:
+                        points.append(z)
+                        hs.append(h)
+                x, f, p = _advance((x, f, p), (sx, sf, sp), dt / 6.0)
         except ShootingDiverged as exc:
             raise ShootingDiverged(f"{exc} in {step}") from exc
-        if not (
-            np.all(np.isfinite(x)) and np.all(np.isfinite(f)) and np.all(np.isfinite(p))
-        ):
+        if not all(np.isfinite(a).all() for a in (x, f, p)):
             raise ShootingDiverged(f"non-finite state after {step}")
         states.append(ShootingState(x=x, f=f, p=p, pf=pf))
         if keep_stages:
-            stages.append((z2, z3, z4))
-            solves.append((h1, h2, h3, h4))
-    return Trajectory(
-        tuple(states), tuple(stages), tuple(solves), tuple(velocities), template
-    )
+            stages.append(tuple(points))
+            solves.append(tuple(hs))
+    return Trajectory(*map(tuple, (states, stages, solves, velocities, hamiltonians)), template)
+
+
+def _advance(arrays, rates, step: float) -> list[np.ndarray]:
+    """arrays + step * rates, written read-only into one fresh block, which
+    ``ShootingState`` then shares: the states are what a shot keeps, and one
+    allocation per state, not three copies, keeps the heap from fragmenting."""
+    ends = np.cumsum([a.size for a in arrays])
+    blocks = np.split(np.empty(ends[-1]), ends[:-1])
+    out = [np.add(a, step * r, out=b.reshape(a.shape)) for a, r, b in zip(arrays, rates, blocks)]
+    for b in out:
+        b.setflags(write=False)
+    return out
 
 
 def integrate_adjoint_backward(

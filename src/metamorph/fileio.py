@@ -407,9 +407,9 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
     """Write one VTK PolyData file per time sample plus an index CSV.
 
     The CSV lists, per sample: time, reduced Hamiltonian, total d-volume, and
-    the signal range. The Hamiltonian comes from the velocities the forward
-    pass recorded; only the last sample, where the flow field was never
-    evaluated, calls ``reduced_hamiltonian``.
+    the signal range. The Hamiltonian is the one the forward pass recorded at
+    each step's first stage; only the last sample, where the flow field was
+    never evaluated, calls ``reduced_hamiltonian``.
     """
     from .dynamics import reduced_hamiltonian
     from .fshape import cell_geometry
@@ -422,7 +422,7 @@ def write_trajectory(out_dir, template: DiscreteFshape, traj, cfg) -> None:
         fs_k = template.with_(vertices=state.x, signals=state.f)
         _write_vtk(out_dir / f"state_{k:04d}.vtk", fs_k)
         if k < traj.n_steps:
-            H = traj.hamiltonian(k)
+            H = traj.hamiltonians[k]
         else:
             H = reduced_hamiltonian(state, template, cfg)
         volume = float(cell_geometry(fs_k).volumes.sum())

@@ -299,11 +299,8 @@ def _compute_geometry(fs: DiscreteFshape) -> CellGeometry:
         volume_grads[:, 1] = g1
         volume_grads[:, 2] = g2
         volume_grads[:, 0] = -(g1 + g2)
-    return CellGeometry(
-        centers=_frozen(pts.mean(axis=1)),
-        volumes=_frozen(volumes),
-        frames=_frozen(frames),
-        cell_signals=_frozen(fs.signals[fs.cells].mean(axis=1)),
-        edges=_frozen(edges),
-        volume_grads=_frozen(volume_grads),
-    )
+    centers, cell_signals = pts.mean(axis=1), fs.signals[fs.cells].mean(axis=1)
+    fields = (centers, volumes, frames, cell_signals, edges, volume_grads)
+    for a in fields:  # fresh arrays of this call: frozen in place, not copied
+        a.setflags(write=False)
+    return CellGeometry(*fields)

@@ -3,16 +3,19 @@
 All radial profiles are functions of the *squared* distance u = |x - y|^2.
 This module holds the pairwise routines that every pairwise sum uses:
 ``_sq_dists_into`` is the one distance routine, for positions and signals
-alike, ``_profile`` the one formula for k(u) or k'(u), ``_profile_pair`` the
-one that gives both, and k''(u) when asked, from the same exp (Gaussian) or
-quotient (Cauchy), ``offset_sum`` the one reduction of weighted pair offsets
-and ``_tiles`` the one routine that sets tile shapes. The deformation sums
-(``kernel_conv``, ``quad_form_grad_x`` and their joint tangent
-``kernel_tangent``) and the varifold sweeps run over row tiles whose buffers
-together hold about 2 * TILE_FLOATS floats (or one row, if longer): each
-tile's distances are turned into kernel values in place and reduced straight
-into its outputs, so a P x Q sum takes O(PQ) time and O(TILE_FLOATS + Q)
-working memory, with no P x Q matrix and no P x Q x n difference tensor.
+alike, ``_profile`` the one formula for k(u), which also gives k'(u) and
+k''(u) when asked, from the same exp (Gaussian) or quotient (Cauchy),
+``offset_sum`` the one reduction of weighted pair offsets and ``_tiles`` the
+one routine that sets tile shapes. The deformation sums run over row tiles
+whose buffers together hold about 2 * TILE_FLOATS floats (or one row, if
+longer): each tile's distances are turned into kernel values in place and
+reduced straight into its outputs, so a P x Q sum takes O(PQ) time and
+O(TILE_FLOATS + Q) working memory, with no P x Q matrix and no P x Q x n
+difference tensor. A flow-field evaluation makes one such pass over the
+self pairs, ``quad_form_grad_x``, which gives K(x) p and the x-gradient of
+p^T K(x) p together; the adjoint's tangent is one more, ``kernel_tangent``.
+``kernel_conv`` is the sum against any point set y, and ``quad_form``
+(p^T K(x) p, for the Hamiltonian at a single state) reads it.
 Tiles of 2^15 pairs per buffer keep a call's buffers near 0.5 MB, well
 inside a 4 MB L2 cache next to the inputs and outputs; 2 MB buffers measured
 up to twice as slow. Self sums (y is x) are symmetric: the tile of rows
@@ -73,40 +76,16 @@ def cauchy(sigma: float, weight: float = 1.0) -> RadialKernelSpec:
     return RadialKernelSpec("cauchy", ((weight, sigma),))
 
 
-def _profile_term(family: str, w: float, s: float, u: np.ndarray, deriv: bool) -> np.ndarray:
-    """Overwrite u with one term w * k(u / s^2) of the profile, or its u-derivative."""
+def _profile_term(family: str, w: float, s: float, u: np.ndarray, du=None, ddu=None):
+    """Overwrite u with one term w * k(u / s^2) of the profile and, when
+    given, write its u-derivative into du and its second into ddu, from the
+    one exp (Gaussian) or quotient (Cauchy) of the value."""
     inv = 1.0 / (s * s)
     if family == "gaussian":
         u *= -0.5 * inv
         np.exp(u, out=u)
-        u *= -0.5 * w * inv if deriv else w
-    else:
-        u *= inv
-        u += 1.0
-        if deriv:
-            u *= u
-        np.divide(-w * inv if deriv else w, u, out=u)
-    return u
-
-
-def _profile(spec: RadialKernelSpec, u: np.ndarray, deriv: bool = False) -> np.ndarray:
-    """Overwrite squared distances u with k(u), or with k'(u) when `deriv`."""
-    rest = [_profile_term(spec.family, w, s, u.copy(), deriv) for w, s in spec.terms[1:]]
-    _profile_term(spec.family, *spec.terms[0], u, deriv)
-    for t in rest:
-        u += t
-    return u
-
-
-def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray, ddu=None):
-    """Overwrite u with one term w * k(u / s^2) and write its u-derivative
-    into du (and its second u-derivative into ddu, when given), from the one
-    exp (Gaussian) or quotient (Cauchy) of the value."""
-    inv = 1.0 / (s * s)
-    if family == "gaussian":
-        u *= -0.5 * inv
-        np.exp(u, out=u)
-        np.multiply(u, -0.5 * w * inv, out=du)
+        if du is not None:
+            np.multiply(u, -0.5 * w * inv, out=du)
         if ddu is not None:
             np.multiply(u, 0.25 * w * inv * inv, out=ddu)
         u *= w
@@ -114,29 +93,29 @@ def _pair_term(family: str, w: float, s: float, u: np.ndarray, du: np.ndarray, d
         u *= inv
         u += 1.0
         np.divide(w, u, out=u)
-        np.multiply(u, u, out=du)
-        du *= -inv / w
+        if du is not None:
+            np.multiply(u, u, out=du)
+            du *= -inv / w
         if ddu is not None:
             np.multiply(du, u, out=ddu)
             ddu *= -2.0 * inv / w
     return u, du, ddu
 
 
-def _profile_pair(spec: RadialKernelSpec, u: np.ndarray, du: np.ndarray, ddu=None):
-    """Overwrite squared distances u with k(u) and write k'(u) into du, and
-    k''(u) into ddu when given."""
-    new = np.empty_like
+def _profile(spec: RadialKernelSpec, u: np.ndarray, du=None, ddu=None) -> np.ndarray:
+    """Overwrite squared distances u with k(u) and, when given, write k'(u)
+    into du and k''(u) into ddu; returns u."""
+    new = lambda out: None if out is None else np.empty_like(out)
     rest = [
-        _pair_term(spec.family, w, s, u.copy(), new(u), None if ddu is None else new(u))
+        _profile_term(spec.family, w, s, u.copy(), new(du), new(ddu))
         for w, s in spec.terms[1:]
     ]
-    _pair_term(spec.family, *spec.terms[0], u, du, ddu)
-    for k, dk, ddk in rest:
-        u += k
-        du += dk
-        if ddu is not None:
-            ddu += ddk
-    return u, du
+    _profile_term(spec.family, *spec.terms[0], u, du, ddu)
+    for terms in rest:
+        for out, t in zip((u, du, ddu), terms):
+            if out is not None:
+                out += t
+    return u
 
 
 def _sq_dists_into(x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -239,24 +218,32 @@ def quad_form(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> float:
     return float(np.sum(p * kernel_conv(spec, x, x, p)))
 
 
-def quad_form_grad_x(spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Exact gradient of quad_form w.r.t. the point positions x:
-    4 sum_l k'(|x_k - x_l|^2) (p_k . p_l) (x_k - x_l).
+def quad_form_grad_x(
+    spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """K(x) p and the exact gradient of quad_form w.r.t. the point positions
+    x, 4 sum_l k'(|x_k - x_l|^2) (p_k . p_l) (x_k - x_l), from one pass.
 
-    Each pair is evaluated once, on the symmetric tiles of ``kernel_conv``.
+    Each pair is evaluated once, on the symmetric tiles of ``kernel_conv``:
+    a tile's distances give k and k' from one exp or quotient per profile
+    term, k is reduced into K(x) p and then reused for p_k . p_l.
     """
     x, p = _check_momenta(x, p)
     P = x.shape[0]
-    out = np.zeros_like(x)
-    for rows, first, (w, pp) in _tiles(P, P, sym=True):
-        _profile(spec, _sq_dists_into(x[rows], x[first:], w, pp), deriv=True)
-        w *= np.matmul(p[rows], p[first:].T, out=pp)
-        out[rows] += offset_sum(w, x[rows], x[first:])
+    conv = np.zeros_like(p)
+    grad = np.zeros_like(x)
+    for rows, first, (k, dk) in _tiles(P, P, sym=True):
+        cols, below = slice(first, P), slice(rows.stop, P)
+        off = rows.stop - first
+        _profile(spec, _sq_dists_into(x[rows], x[cols], k, dk), dk)
+        conv[rows] += k @ p[cols]
+        conv[below] += k[:, off:].T @ p[rows]
+        dk *= np.matmul(p[rows], p[cols].T, out=k)
+        grad[rows] += offset_sum(dk, x[rows], x[cols])
         if rows.stop < P:
-            below = slice(rows.stop, P)
-            out[below] += offset_sum(w[:, rows.stop - first :].T, x[below], x[rows])
-    out *= 4.0
-    return out
+            grad[below] += offset_sum(dk[:, off:].T, x[below], x[rows])
+    grad *= 4.0
+    return conv, grad
 
 
 def _sq_dists_dots_into(x, y, wx, wy, u, a, t, s):
@@ -279,8 +266,8 @@ def _sq_dists_dots_into(x, y, wx, wy, u, a, t, s):
 def kernel_tangent(
     spec: RadialKernelSpec, x: np.ndarray, p: np.ndarray, wx: np.ndarray, wp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directional derivatives of K(x) p and of ``quad_form_grad_x(x, p)``
-    along (wx, wp):
+    """Directional derivatives of both outputs of ``quad_form_grad_x(x, p)``,
+    K(x) p and the x-gradient, along (wx, wp):
 
         d(Kp)_i  = sum_j k_ij wp_j + 2 k'_ij a_ij p_j
         d(grad)_i = 4 sum_j (2 k''_ij a_ij pi_ij + k'_ij om_ij) (x_i - x_j)
@@ -305,7 +292,7 @@ def kernel_tangent(
         cols, below = slice(first, P), slice(rows.stop, P)
         off = rows.stop - first
         _sq_dists_dots_into(x[rows], x[cols], wx2[rows], wx2[cols], k, a, dk, ddk)
-        _profile_pair(spec, k, dk, ddk)
+        _profile(spec, k, dk, ddk)
         conv[rows] += k @ wp[cols]
         conv[below] += k[:, off:].T @ wp[rows]
         np.multiply(dk, a, out=k)  # 2 k' a

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fshape import DiscreteFshape, _frozen, cell_geometry, scatter_cells
-from .kernels import (
-    GrassmannKernelSpec,
-    RadialKernelSpec,
-    _profile,
-    _profile_pair,
-    _sq_dists_into,
-    _tiles,
-)
+from .kernels import GrassmannKernelSpec, RadialKernelSpec, _profile, _sq_dists_into, _tiles
 
 UNIT_FRAME_TOL = 1e-8
 
@@ -177,8 +170,8 @@ def _sweep_partials(a: DiscreteVarifold, parts, K: VarifoldKernels):
     dw = np.empty(T)
     mode = K.kt.mode
     for rows, _, (kp, dkp, kf, dkf, dot) in _tiles(T, m, _PARTIAL_BUFFERS, sym=False):
-        _profile_pair(K.kp, _sq_dists_into(a.centers[rows], c, kp, dkp), dkp)
-        _profile_pair(K.kf, _sq_dists_into(a.cell_signals[rows, None], s, kf, dkf), dkf)
+        _profile(K.kp, _sq_dists_into(a.centers[rows], c, kp, dkp), dkp)
+        _profile(K.kf, _sq_dists_into(a.cell_signals[rows, None], s, kf, dkf), dkf)
         dkf *= kp  # k_p k_f'
         kp *= kf  # k_p k_f
         dkp *= kf  # k_p' k_f

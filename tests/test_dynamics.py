@@ -110,12 +110,12 @@ def test_trajectory_energy_is_initial_hamiltonian(metric):
 
 def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
     # neither the energy nor its gradient assembles D(x0) or convolves K(x0)
-    # again: every assemble and convolution is one RHS evaluation's, and the
-    # gradient's adjoint makes one closed-form product per RK4 stage, with
-    # one assembly, one solve and one tangent kernel pass each
-    calls = dict.fromkeys(
-        ["assemble_metric", "solve_spd", "kernel_conv", "kernel_tangent", "quad_form"], 0
-    )
+    # again: every assemble and kernel pass is one RHS evaluation's, which
+    # makes one fused pass and no separate convolution, and the gradient's
+    # adjoint makes one closed-form product per RK4 stage, with one
+    # assembly, one solve and one tangent kernel pass each
+    names = ["assemble_metric", "solve_spd", "quad_form_grad_x", "kernel_conv"]
+    calls = dict.fromkeys(names + ["kernel_tangent", "quad_form"], 0)
     for name in calls:
         original = getattr(dynamics, name)
 
@@ -133,7 +133,8 @@ def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
     assert calls == {
         "assemble_metric": stage_evals,
         "solve_spd": stage_evals,
-        "kernel_conv": stage_evals,
+        "quad_form_grad_x": stage_evals,
+        "kernel_conv": 0,
         "kernel_tangent": 0,
         "quad_form": 0,
     }
@@ -142,6 +143,7 @@ def test_objective_and_gradient_reuse_the_shots_velocity(monkeypatch):
     assert calls == {
         "assemble_metric": stage_evals,
         "solve_spd": stage_evals,
+        "quad_form_grad_x": 0,
         "kernel_conv": 0,
         "kernel_tangent": stage_evals,
         "quad_form": 0,
@@ -489,25 +491,34 @@ def test_adjoint_raises_on_non_finite_state(bad):
 
 def test_plain_shot_keeps_no_stages():
     # icosphere(3): P = 642. A plain shot keeps the states after the first
-    # (x, f, p: 7P floats each) and the first-stage velocities (dx, df: 4P
-    # floats each), 44P floats over 4 steps; its 12 stage points would add 72P.
+    # (x, f, p: 7P floats each), 28P floats over 4 steps, and H at each
+    # step's first stage, one float per step; a shot that keeps its stages
+    # adds the first-stage velocities (dx, df: 4P floats each) and its 12
+    # stage points (72P).
     fs = icosphere(3, radius=0.6)
     P = fs.n_vertices
     cfg = DynamicsConfig(1.0, 5.0, gaussian(0.3), LUMPED, n_steps=4)
     s0 = _random_state(fs, 40, amp=0.1)
     integrate_forward(s0, fs, cfg)  # first-call allocations stay out of the count
-    kept = {}
+    kept, trajs = {}, {}
     for keep in (False, True):
         tracemalloc.start()
         try:
-            traj = integrate_forward(s0, fs, cfg, keep_stages=keep)
+            traj = trajs[keep] = integrate_forward(s0, fs, cfg, keep_stages=keep)
             kept[keep], _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert traj.states[0] is s0
         assert len(traj.stages) == (cfg.n_steps if keep else 0)
-    assert kept[False] < 8 * P * 56
+        assert len(traj.velocities) == (cfg.n_steps if keep else 0)
+        assert len(traj.hamiltonians) == cfg.n_steps
+    assert kept[False] < 8 * P * 32
     assert kept[True] > 8 * P * (44 + 72)
+    # each step's H is 1/2 <(p, pf), (dx, df)> at its first stage, the same
+    # float whether or not the shot keeps that velocity
+    velocities = zip(trajs[True].states, trajs[True].velocities)
+    H = tuple(0.5 * (float(np.sum(s.p * dx)) + float(s.pf @ df)) for s, (dx, df) in velocities)
+    assert trajs[False].hamiltonians == trajs[True].hamiltonians == H
     with pytest.raises(ValueError, match="keep_stages"):
         integrate_adjoint_backward(
             integrate_forward(s0, fs, cfg), AdjointState(s0.x, s0.f, s0.p, s0.pf), fs, cfg

@@ -55,7 +55,7 @@ def _pair(spec, u):
     """(k(u), k'(u)) from the one pass that gives both."""
     k = np.array(u, dtype=float)
     dk = np.empty_like(k)
-    kernels._profile_pair(spec, k, dk)
+    kernels._profile(spec, k, dk)
     return k, dk
 
 
@@ -73,7 +73,8 @@ def test_radial_deriv_matches_fd(spec):
 def test_profile_pair_matches_closed_forms(spec):
     u = np.array([0.0, 0.01, 0.3, 2.0])
     k, dk = _pair(spec, u)
-    # the value is _profile's to the bit, so a sweep's value and partials agree
+    # asking for k' leaves k unchanged to the bit, so a sweep's value and
+    # partials agree
     np.testing.assert_array_equal(k, _k(spec, u))
     expected = [radial_profile(spec, v, deriv=True) for v in u]
     np.testing.assert_allclose(dk, expected, rtol=1e-14)
@@ -86,7 +87,7 @@ def test_profile_pair_second_derivative(spec):
     u = np.array([0.0, 0.01, 0.3, 2.0])
     k, dk = _pair(spec, u)
     k2, dk2, ddk = u.copy(), np.empty_like(u), np.empty_like(u)
-    kernels._profile_pair(spec, k2, dk2, ddk)
+    kernels._profile(spec, k2, dk2, ddk)
     assert np.array_equal(k2, k) and np.array_equal(dk2, dk)
     np.testing.assert_allclose(ddk, [_profile_dd(spec, v) for v in u], rtol=1e-14)
     eps = 1e-6
@@ -218,9 +219,29 @@ def test_tiled_quad_form_grad_matches_double_loop(spec, P, monkeypatch):
         return radial_profile(spec, _sq(x[i], x[j]), deriv=True) * (p[i] @ p[j]) * (x[i] - x[j])
 
     expected = np.array([4.0 * sum(force(i, j) for j in range(P)) for i in range(P)])
-    out = quad_form_grad_x(spec, x, p)
+    conv, out = quad_form_grad_x(spec, x, p)
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-13)
-    assert np.array_equal(out, quad_form_grad_x(spec, x, p))
+    again = quad_form_grad_x(spec, x, p)
+    assert np.array_equal(conv, again[0]) and np.array_equal(out, again[1])
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
+@pytest.mark.parametrize("P", [4, 5, 14, 200])
+def test_fused_pass_matches_kernel_conv_and_double_loop(spec, P):
+    # one pass gives K(x) p equal to kernel_conv's to the byte (same tiles,
+    # same k) and the quad form's x-gradient; P = 200 spans two tiles
+    rng = np.random.default_rng(30 + P)
+    x = 0.2 * rng.standard_normal((P, 3))
+    p = rng.standard_normal((P, 3))
+    assert (len(list(kernels._tiles(P, P, sym=True))) > 1) == (P == 200)
+    conv, grad = quad_form_grad_x(spec, x, p)
+    assert conv.tobytes() == kernel_conv(spec, x, x, p).tobytes()
+
+    def force(i, j):
+        return radial_profile(spec, _sq(x[i], x[j]), deriv=True) * (p[i] @ p[j]) * (x[i] - x[j])
+
+    expected = np.array([4.0 * sum(force(i, j) for j in range(P)) for i in range(P)])
+    np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-13 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("spec", [GAUSS, TWO_TERM, CAUCHY])
@@ -248,9 +269,10 @@ def test_symmetric_tiles_match_double_loop(spec, P, monkeypatch):
     general = kernel_conv(spec, x, x.copy(), alpha)
     np.testing.assert_allclose(out, general, rtol=1e-13, atol=1e-13 * np.abs(general).max())
     assert np.array_equal(out, kernel_conv(spec, x, x, alpha))
-    grad = quad_form_grad_x(spec, x, alpha)
+    fused, grad = quad_form_grad_x(spec, x, alpha)
+    np.testing.assert_allclose(fused, conv, rtol=1e-12, atol=1e-13)
     np.testing.assert_allclose(grad, force, rtol=1e-12, atol=1e-13)
-    assert np.array_equal(grad, quad_form_grad_x(spec, x, alpha))
+    assert np.array_equal(grad, quad_form_grad_x(spec, x, alpha)[1])
     # a vector of weights takes the same symmetric path
     np.testing.assert_allclose(
         kernel_conv(spec, x, x, alpha[:, 0]), conv[:, 0], rtol=1e-12, atol=1e-13
@@ -290,15 +312,15 @@ def test_tiled_kernel_tangent_matches_double_loop(spec, P, monkeypatch):
 
 
 def test_kernel_tangent_is_the_derivative_of_the_self_sums():
-    # against central differences of kernel_conv and quad_form_grad_x
+    # against central differences of both outputs of quad_form_grad_x
     rng = np.random.default_rng(19)
     x, wx = 0.3 * rng.standard_normal((2, 40, 3))
     p, wp = rng.standard_normal((2, 40, 3))
     conv, grad = kernel_tangent(TWO_TERM, x, p, wx, wp)
     eps = 1e-6
     xp, xm, pp, pm = x + eps * wx, x - eps * wx, p + eps * wp, p - eps * wp
-    fd_conv = (kernel_conv(TWO_TERM, xp, xp, pp) - kernel_conv(TWO_TERM, xm, xm, pm)) / (2 * eps)
-    fd_grad = (quad_form_grad_x(TWO_TERM, xp, pp) - quad_form_grad_x(TWO_TERM, xm, pm)) / (2 * eps)
+    plus, minus = quad_form_grad_x(TWO_TERM, xp, pp), quad_form_grad_x(TWO_TERM, xm, pm)
+    fd_conv, fd_grad = ((a - b) / (2 * eps) for a, b in zip(plus, minus))
     np.testing.assert_allclose(conv, fd_conv, rtol=0, atol=1e-7 * np.abs(conv).max())
     np.testing.assert_allclose(grad, fd_grad, rtol=0, atol=1e-7 * np.abs(grad).max())
 
@@ -374,9 +396,9 @@ def test_quad_form_translation_invariant():
 
 
 def test_quad_form_grad_single_point_zero():
-    np.testing.assert_array_equal(
-        quad_form_grad_x(GAUSS, np.zeros((1, 3)), np.ones((1, 3))), np.zeros((1, 3))
-    )
+    conv, grad = quad_form_grad_x(GAUSS, np.zeros((1, 3)), np.ones((1, 3)))
+    np.testing.assert_array_equal(conv, np.ones((1, 3)))
+    np.testing.assert_array_equal(grad, np.zeros((1, 3)))
 
 
 @pytest.mark.parametrize("spec", [GAUSS, CAUCHY, TWO_TERM])
@@ -384,7 +406,7 @@ def test_quad_form_grad_matches_fd(spec):
     rng = np.random.default_rng(4)
     x = 0.5 * rng.standard_normal((5, 3))
     p = rng.standard_normal((5, 3))
-    grad = quad_form_grad_x(spec, x, p)
+    grad = quad_form_grad_x(spec, x, p)[1]
     eps = 1e-5 * 0.5
     fd = np.zeros_like(grad)
     for i in range(5):
@@ -400,7 +422,7 @@ def test_quad_form_grad_matches_fd(spec):
 def test_quad_form_grad_antisymmetric_pair():
     p = np.array([[0.7, -0.1, 0.4], [0.7, -0.1, 0.4]])
     x = np.array([[0.0, 0.0, 0.0], [0.3, 0.1, -0.2]])
-    grad = quad_form_grad_x(GAUSS, x, p)
+    grad = quad_form_grad_x(GAUSS, x, p)[1]
     np.testing.assert_allclose(grad[0], -grad[1], rtol=1e-12)
 
 
