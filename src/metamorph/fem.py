@@ -1,20 +1,22 @@
 """Finite-element signal metrics on polyhedral meshes.
 
-Holds the SPD matrices behind the L2 and H1 signal norms as their per-cell
-blocks, never assembled, and multiplies element by element (Hughes, Levit &
-Winget, 1983). Solves the associated linear systems with Jacobi-preconditioned
-conjugate gradients (the lumped metric, a diagonal, by one division), and
-differentiates the quadratic form w.r.t. vertex positions. Curves and surfaces
-share one formula, read from the volume gradients of the fshape's memoised
-``cell_geometry`` record: G_i = d(vol)/d(x_i) = vol * grad(lambda_i), with
-lambda_i the barycentric coordinate of cell vertex i. On a cell with vertex
-values h_t,
+Assembles the SPD matrices behind the L2 and H1 signal norms in compressed
+sparse rows (Saad, Iterative Methods for Sparse Linear Systems, 2003, §3.4):
+the pattern depends on the cells alone and is memoised per connectivity
+(``cell_pattern``), so each state's values are one ``np.bincount`` of its
+per-cell blocks, and ``A @ v`` is one ``np.add.reduceat``. Solves the
+associated linear systems with Jacobi-preconditioned conjugate gradients
+(Saad, §9.2; the lumped metric, a diagonal, by one division), and
+differentiates the quadratic form w.r.t. vertex positions. Curves and
+surfaces share one formula, read from the volume gradients of the fshape's
+memoised ``cell_geometry`` record: G_i = d(vol)/d(x_i) = vol * grad(lambda_i),
+with lambda_i the barycentric coordinate of cell vertex i. On a cell with
+vertex values h_t,
 
 * the mass form is vol * h_t^T M h_t, with M the one reference matrix of
   the scheme: (1 + delta_ij) / ((d+1)(d+2)) for P1, I / (d+1) for lumped
-  (held as the blocks' diagonals, whose scatter is
-  ``lumped_vertex_weights``). Its x-gradient at vertex i is
-  (h_t^T M h_t) G_i;
+  (diagonal blocks, whose sums per vertex are ``lumped_vertex_weights``).
+  Its x-gradient at vertex i is (h_t^T M h_t) G_i;
 * the stiffness form is vol * |g|^2, with g = sum_i h_i G_i / vol the
   gradient of the P1 interpolant, so its local matrix is G G^T / vol (the
   cotangent Laplacian for triangles; Pinkall & Polthier, 1993). Its
@@ -35,12 +37,22 @@ F(dG; h, h; g, g) + 2 F(G; dh, h; dg, g).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fshape import CellGeometry, DiscreteFshape, ShootingDiverged, cell_geometry, scatter_cells
+from .fshape import (
+    CellGeometry,
+    CellPattern,
+    DiscreteFshape,
+    ShootingDiverged,
+    cell_geometry,
+    cell_pattern,
+    cross,
+    scatter_cells,
+)
 
 SOLVER_RTOL = 1e-10
 
@@ -74,28 +86,34 @@ class FunctionalMetric:
 
 @dataclass(frozen=True)
 class CellMatrix:
-    """A P x P matrix held as the sum of its per-cell blocks: ``blocks[t]``
-    couples the vertices ``cells[t]``, as (T, m, m) local matrices or (T, m)
-    diagonals (the lumped metric). ``A @ v`` gathers ``v[cells]``, applies
-    the blocks and scatters the sums back with ``np.bincount``.
+    """A P x P matrix summed from per-cell blocks, in compressed sparse rows
+    on its cells' pattern: ``values[s]`` is the entry at slot s of
+    ``pattern``. ``is_diagonal`` marks a sum of diagonal blocks (the lumped
+    metric), whose off-diagonal values are zero.
     """
 
-    cells: np.ndarray
-    blocks: np.ndarray
-    n_vertices: int
+    pattern: CellPattern
+    values: np.ndarray
+    is_diagonal: bool
+
+    @classmethod
+    def from_blocks(cls, pattern: CellPattern, blocks: np.ndarray) -> "CellMatrix":
+        """Sum the blocks, (T, m, m) local matrices or (T, m) diagonals, cell
+        by cell into their slots, by one ``np.bincount``."""
+        is_diagonal = blocks.ndim == 2
+        slots = np.diagonal(pattern.slots, axis1=1, axis2=2) if is_diagonal else pattern.slots
+        values = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=pattern.cols.size)
+        return cls(pattern, values, is_diagonal)
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.blocks.ndim == 2
+    def n_vertices(self) -> int:
+        return self.pattern.row_starts.size
 
     def diagonal(self) -> np.ndarray:
-        diag = self.blocks if self.is_diagonal else np.diagonal(self.blocks, axis1=1, axis2=2)
-        return scatter_cells(self.cells, diag, self.n_vertices)
+        return self.values[self.pattern.diagonal]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        vc = v[self.cells]
-        local = self.blocks * vc if self.is_diagonal else np.einsum("tij,tj->ti", self.blocks, vc)
-        return scatter_cells(self.cells, local, self.n_vertices)
+        return np.add.reduceat(self.values * v[self.pattern.cols], self.pattern.row_starts)
 
 
 def lumped_vertex_weights(fs: DiscreteFshape) -> np.ndarray:
@@ -114,11 +132,12 @@ def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> CellMatrix:
     geom = cell_geometry(fs)
     m = fs.dim_d + 1
     if metric.scheme == "lumped":
-        return CellMatrix(fs.cells, np.repeat(geom.volumes[:, None] / m, m, axis=1), fs.n_vertices)
-    local = geom.volumes[:, None, None] * _MASS_LOCAL["p1", fs.dim_d]
-    if metric.order == 1:
-        local = local + _stiffness_local(geom)
-    return CellMatrix(fs.cells, local, fs.n_vertices)
+        local = np.repeat(geom.volumes[:, None] / m, m, axis=1)
+    else:
+        local = geom.volumes[:, None, None] * _MASS_LOCAL["p1", fs.dim_d]
+        if metric.order == 1:
+            local += _stiffness_local(geom)
+    return CellMatrix.from_blocks(cell_pattern(fs), local)
 
 
 def solve_spd(
@@ -128,11 +147,11 @@ def solve_spd(
     max_iters: int | None = None,
 ) -> np.ndarray:
     """Solve A h = rhs for SPD A by Jacobi-preconditioned conjugate gradients,
-    or by one division when A's blocks are diagonal with positive sums (the
-    lumped metric).
+    or by one division when A is diagonal (the lumped metric).
 
     Converges when ||A h - rhs|| <= rtol * ||rhs||. Raises ShootingDiverged
-    for a non-finite right-hand side, on breakdown, and with the achieved
+    for a non-finite right-hand side, for a diagonal entry that is not
+    positive (a vertex in no cell), on breakdown, and with the achieved
     residual if the iteration cap (default 10 * P) is exhausted.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -141,11 +160,17 @@ def solve_spd(
         raise ValueError(f"rhs shape {rhs.shape} != ({P},)")
     if not np.all(np.isfinite(rhs)):
         raise ShootingDiverged("rhs contains non-finite entries")
-    b_norm = np.linalg.norm(rhs)
+    b_norm = math.sqrt(rhs.dot(rhs))
     if b_norm == 0.0:
         return np.zeros(P)
     diag = A.diagonal()
-    if A.is_diagonal and np.all(diag > 0):
+    bad = np.flatnonzero(~(diag > 0))
+    if bad.size:
+        raise ShootingDiverged(
+            f"vertex {bad[0]} has metric diagonal {diag[bad[0]]:g}, not positive "
+            f"(is it in no cell?)"
+        )
+    if A.is_diagonal:
         return rhs / diag
     if max_iters is None:
         max_iters = 10 * P
@@ -154,27 +179,27 @@ def solve_spd(
     r = rhs.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = r @ z
+    rz = r.dot(z)
     target = rtol * b_norm
     for _ in range(max_iters):
-        if np.linalg.norm(r) <= target:
+        if math.sqrt(r.dot(r)) <= target:
             return x
         Ap = A @ p
-        pAp = p @ Ap
-        if pAp <= 0 or not np.isfinite(pAp):
-            achieved = np.linalg.norm(r) / b_norm
+        pAp = p.dot(Ap)
+        if pAp <= 0 or not math.isfinite(pAp):
             raise ShootingDiverged(
                 f"conjugate gradients broke down (matrix not SPD?); "
-                f"relative residual {achieved:.3e}"
+                f"relative residual {math.sqrt(r.dot(r)) / b_norm:.3e}"
             )
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r
-        rz_next = r @ z
-        p = z + (rz_next / rz) * p
+        np.multiply(inv_diag, r, out=z)
+        rz_next = r.dot(z)
+        p *= rz_next / rz
+        p += z
         rz = rz_next
-    achieved = np.linalg.norm(r) / b_norm
+    achieved = math.sqrt(r.dot(r)) / b_norm
     if achieved <= rtol:
         return x
     raise ShootingDiverged(
@@ -239,11 +264,11 @@ def _volume_grads_tangent(fs: DiscreteFshape, geom: CellGeometry, wc: np.ndarray
         dt /= geom.volumes[:, None]
         return dvol, np.stack((-dt, dt), axis=1)
     e1, e2 = geom.edges[:, 0], geom.edges[:, 1]
-    draw = np.cross(de[:, 0], e2) + np.cross(e1, de[:, 1])
+    draw = cross(de[:, 0], e2) + cross(e1, de[:, 1])
     dn = draw - frames * np.einsum("tn,tn->t", frames, draw)[:, None]
     dn /= 2.0 * geom.volumes[:, None]
-    g1 = 0.5 * (np.cross(de[:, 1], frames) + np.cross(e2, dn))
-    g2 = 0.5 * (np.cross(dn, e1) + np.cross(frames, de[:, 0]))
+    g1 = 0.5 * (cross(de[:, 1], frames) + cross(e2, dn))
+    g2 = 0.5 * (cross(dn, e1) + cross(frames, de[:, 0]))
     return dvol, np.stack((-(g1 + g2), g1, g2), axis=1)
 
 

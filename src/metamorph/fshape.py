@@ -10,8 +10,13 @@ frames, volume gradients) is computed. Since an fshape never changes, its
 record is memoised on the instance: every later call on the same fshape
 returns the same object. Two threads that race on a fresh fshape at worst
 both compute the same record, and one of the two is kept.
-``scatter_cells`` is the one sum of per-cell vertex values onto the
-vertices, for the metrics, their gradients and the fidelity's gradient.
+``cell_pattern`` is the sparsity pattern of a matrix summed from per-cell
+blocks. It depends on the cells alone, so it is memoised once per
+connectivity: ``with_`` copies share one memo with their original, and a
+pattern built on any of them serves all (a race at worst builds it twice,
+like the geometry record). ``scatter_cells`` is the one sum of
+per-cell vertex values onto the vertices, for the metrics, their gradients
+and the fidelity's gradient.
 """
 
 from __future__ import annotations
@@ -109,12 +114,15 @@ class DiscreteFshape:
         return self.vertices.shape[1]
 
     def with_(self, vertices=None, signals=None) -> "DiscreteFshape":
-        """Copy with replaced vertices and/or signals, same connectivity."""
-        return DiscreteFshape(
+        """Copy with replaced vertices and/or signals, same connectivity; the
+        copy shares this fshape's connectivity memo (``cell_pattern``)."""
+        out = DiscreteFshape(
             vertices=self.vertices if vertices is None else vertices,
             signals=self.signals if signals is None else signals,
             cells=self.cells,
         )
+        out.__dict__["_connectivity"] = self.__dict__.setdefault("_connectivity", {})
+        return out
 
 
 @dataclass(frozen=True)
@@ -197,6 +205,63 @@ class CellGeometry:
     volume_grads: np.ndarray
 
 
+@dataclass(frozen=True)
+class CellPattern:
+    """Compressed-sparse-row pattern of a P x P matrix summed from per-cell
+    (d+1) x (d+1) blocks: one slot per vertex pair that shares a cell, and one
+    per diagonal entry, so no row is empty.
+
+    cols (nnz,)
+        Column of each slot; slots are sorted by row, then column.
+    row_starts (P,)
+        First slot of each row.
+    diagonal (P,)
+        Slot of each diagonal entry (i, i).
+    slots (T, d+1, d+1)
+        Entry [t, i, j] is the slot of (cells[t, i], cells[t, j]).
+    """
+
+    cols: np.ndarray
+    row_starts: np.ndarray
+    diagonal: np.ndarray
+    slots: np.ndarray
+
+    @classmethod
+    def from_cells(cls, cells: np.ndarray, n_vertices: int) -> "CellPattern":
+        # entry (i, j) is the key i * P + j; the P diagonal keys come last
+        block_keys = cells[:, :, None] * n_vertices + cells[:, None, :]
+        vertices = np.arange(n_vertices)
+        keys = np.concatenate((block_keys.ravel(), vertices * (n_vertices + 1)))
+        unique, slot = np.unique(keys, return_inverse=True)
+        fields = (
+            unique % n_vertices,
+            np.searchsorted(unique, vertices * n_vertices),
+            slot[block_keys.size :],
+            slot[: block_keys.size].reshape(block_keys.shape),
+        )
+        for a in fields:  # fresh arrays of this call: frozen in place, not copied
+            a.setflags(write=False)
+        return cls(*fields)
+
+
+def cell_pattern(fs: DiscreteFshape) -> CellPattern:
+    """The sparsity pattern of fs's cells, built on first use and memoised on
+    fs's connectivity memo, which its ``with_`` copies share."""
+    memo = fs.__dict__.setdefault("_connectivity", {})
+    pattern = memo.get("pattern")
+    if pattern is None:
+        pattern = memo["pattern"] = CellPattern.from_cells(fs.cells, fs.n_vertices)
+    return pattern
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products of 3-vectors along the last axis: ``np.cross``'s
+    products and differences, term for term, without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def scatter_cells(cells: np.ndarray, local: np.ndarray, n_vertices: int) -> np.ndarray:
     """Sum per-cell vertex values onto the vertices: ``local[t, i]`` (a scalar
     or an n-vector) is added to vertex ``cells[t, i]``, in cell order, by one
@@ -221,7 +286,7 @@ def _measure(fs: DiscreteFshape):
     indices of degenerate cells (d-volume at or below the cutoff)."""
     pts = fs.vertices[fs.cells]
     edges = pts[:, 1:] - pts[:, :1]
-    raw = edges[:, 0] if fs.dim_d == 1 else np.cross(edges[:, 0], edges[:, 1])
+    raw = edges[:, 0] if fs.dim_d == 1 else cross(edges[:, 0], edges[:, 1])
     volumes = np.linalg.norm(raw, axis=1) / fs.dim_d
     diag = bounding_box_diagonal(fs.vertices)
     bad = np.flatnonzero(volumes <= DEGENERATE_VOLUME_RTOL * diag**fs.dim_d)
@@ -294,8 +359,8 @@ def _compute_geometry(fs: DiscreteFshape) -> CellGeometry:
         volume_grads[:, 0] = -frames
     else:
         # d(area) = 0.5 * n_hat . (de1 x e2 + e1 x de2)
-        g1 = 0.5 * np.cross(edges[:, 1], frames)
-        g2 = 0.5 * np.cross(frames, edges[:, 0])
+        g1 = 0.5 * cross(edges[:, 1], frames)
+        g2 = 0.5 * cross(frames, edges[:, 0])
         volume_grads[:, 1] = g1
         volume_grads[:, 2] = g2
         volume_grads[:, 0] = -(g1 + g2)

@@ -130,7 +130,12 @@ def digits_preset(
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Optimal momenta, final trajectory and per-iteration history."""
+    """Optimal momenta, final trajectory and per-iteration history.
+
+    The trajectory is the accepted shot's states and energies; it keeps
+    neither the adjoint's stage points, solves and velocities nor the end
+    fshape that scoring built.
+    """
 
     p0: np.ndarray
     pf: np.ndarray
@@ -254,7 +259,7 @@ def match(
     return MatchResult(
         p0=p0,
         pf=pf,
-        trajectory=replace(traj),  # a fresh record: no cached end fshape
+        trajectory=replace(traj, stages=(), solves=(), velocities=()),
         objective_history=tuple(history),
         converged=converged,
         reason=reason,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fshape import DiscreteFshape, _frozen, cell_geometry, scatter_cells
+from .fshape import DiscreteFshape, _frozen, cell_geometry, cross, scatter_cells
 from .kernels import GrassmannKernelSpec, RadialKernelSpec, _profile, _sq_dists_into, _tiles
 
 UNIT_FRAME_TOL = 1e-8
@@ -244,8 +244,8 @@ def grad_fidelity(
     if d == 1:
         local = np.stack([-a, a], axis=1)
     else:
-        c1 = np.cross(geom.edges[:, 1], a)
-        c2 = np.cross(a, geom.edges[:, 0])
+        c1 = cross(geom.edges[:, 1], a)
+        c2 = cross(a, geom.edges[:, 0])
         local = np.stack([-(c1 + c2), c1, c2], axis=1)
     # Weights follow the cell-volume gradients; barycenters and mean signals
     # spread uniformly over the cell vertices.

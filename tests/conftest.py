@@ -5,7 +5,7 @@ import pytest
 
 from metamorph import DiscreteFshape
 from metamorph.fem import CellMatrix, _stiffness_local
-from metamorph.fshape import cell_geometry
+from metamorph.fshape import cell_geometry, cell_pattern
 
 
 def radial_profile(spec, u, deriv=False):
@@ -22,14 +22,14 @@ def radial_profile(spec, u, deriv=False):
 
 
 def quadratic_form(A, f):
-    """f^T A f for a matrix held as cell blocks."""
+    """f^T A f for a signal-metric matrix."""
     f = np.asarray(f, dtype=float)
     return float(f @ (A @ f))
 
 
 def stiffness_matrix(fs):
     """The H1 metric's stiffness part alone: G G^T / vol per cell."""
-    return CellMatrix(fs.cells, _stiffness_local(cell_geometry(fs)), fs.n_vertices)
+    return CellMatrix.from_blocks(cell_pattern(fs), _stiffness_local(cell_geometry(fs)))
 
 
 def triangle_strip(n_tri, seed=None, jitter=0.08):

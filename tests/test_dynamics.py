@@ -18,7 +18,7 @@ from metamorph import (
     objective,
     to_varifold,
 )
-from metamorph import dynamics, fshape
+from metamorph import dynamics, fshape, matching
 from metamorph.cli import GRADCHECK_TOL
 from metamorph.dynamics import (
     _rhs_blocks,
@@ -544,7 +544,10 @@ def test_descent_shots_keep_their_stages(monkeypatch):
     monkeypatch.setattr(dynamics, "integrate_forward", recording)
     euclidean_objective_gradient(state0.p, state0.pf, problem)
     assert [len(t.stages) for t in shots] == [cfg.n_steps]
-    # with no iteration, match returns its opening shot
+    # with no iteration, match returns its opening shot, which kept its
+    # stages, but the result keeps only its states and energies
+    shots.clear()
+    monkeypatch.setattr(matching, "integrate_forward", recording)
     match_cfg = MatchConfig(
         gamma_V=1.0,
         gamma_f=2.0,
@@ -555,7 +558,15 @@ def test_descent_shots_keep_their_stages(monkeypatch):
         n_steps=3,
         scale_schedule=(ScaleStage(1.0, 1.0, 0),),
     )
-    assert len(match(src, tgt, match_cfg).trajectory.stages) == cfg.n_steps
+    traj = match(src, tgt, match_cfg).trajectory
+    [opening] = shots
+    assert len(opening.stages) == cfg.n_steps
+    assert all(
+        getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+        for ours, theirs in zip(traj.states, opening.states, strict=True)
+        for name in ("x", "f", "p", "pf")
+    )
+    assert traj.stages == traj.solves == traj.velocities == ()
 
 
 def _gradient_fd_worst(problem, p0, pf, directions=10, eps=1e-5, seed=0):

@@ -2,15 +2,25 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from metamorph import DiscreteFshape, FunctionalMetric
+from metamorph import (
+    DiscreteFshape,
+    DynamicsConfig,
+    FunctionalMetric,
+    ShootingState,
+    integrate_forward,
+)
+from metamorph.dynamics import integrate_adjoint_backward
 from metamorph.fem import (
     CellMatrix,
+    _stiffness_local,
     assemble_metric,
     lumped_vertex_weights,
     metric_form_grad_x,
     solve_spd,
 )
-from metamorph.fshape import cell_geometry
+from metamorph.fshape import AdjointState, CellPattern, ShootingDiverged, cell_geometry
+from metamorph.kernels import gaussian
+from metamorph.meshes import icosphere
 
 from conftest import jittered_grid, quadratic_form, stiffness_matrix, triangle_strip
 
@@ -175,12 +185,15 @@ def test_solve_diagonal_is_division():
 
 
 def test_lumped_solve_divides_by_the_weights():
-    # a lumped metric is a diagonal: solve_spd divides, bit for bit
+    # a lumped metric is a diagonal: solve_spd divides, bit for bit, by the
+    # cell volumes / (d+1) summed per vertex in cell order
     fs = jittered_grid(16)
     D = assemble_metric(fs, L2_LUMPED)
     assert D.is_diagonal
+    weights = np.bincount(fs.cells.ravel(), np.repeat(cell_geometry(fs).volumes / 3, 3))
+    assert lumped_vertex_weights(fs).tobytes() == weights.tobytes()
     rhs = np.random.default_rng(17).standard_normal(fs.n_vertices)
-    assert np.array_equal(solve_spd(D, rhs), rhs / lumped_vertex_weights(fs))
+    assert solve_spd(D, rhs).tobytes() == (rhs / weights).tobytes()
 
 
 def test_solve_round_trip():
@@ -208,10 +221,86 @@ def test_solve_residual_contract():
 
 
 def test_solve_iteration_cap_error():
-    # an indefinite matrix makes CG stall; the failure must report the residual
-    A = CellMatrix(np.arange(4)[:, None], np.array([[1.0], [-1.0], [2.0], [-2.0]]), 4)
-    with pytest.raises(RuntimeError, match="residual"):
-        solve_spd(A, np.array([1.0, 1.0, 1.0, 1.0]), max_iters=2)
+    # two CG iterations cannot solve this system; the failure must report the residual
+    fs = jittered_grid(15)
+    rhs = np.random.default_rng(15).standard_normal(fs.n_vertices)
+    with pytest.raises(RuntimeError, match="in 2 iterations.*residual"):
+        solve_spd(assemble_metric(fs, H1), rhs, max_iters=2)
+
+
+def test_solve_breakdown_error():
+    # [[1, 2], [2, 1]] is indefinite with a positive diagonal: CG meets p^T A p < 0
+    pattern = CellPattern.from_cells(np.array([[0, 1]]), 2)
+    A = CellMatrix.from_blocks(pattern, np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+    with pytest.raises(ShootingDiverged, match="broke down.*residual"):
+        solve_spd(A, np.array([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+def test_vertex_in_no_cell_is_a_typed_failure(metric):
+    # vertex 3 belongs to no cell: its row of D(x) is zero
+    fs = DiscreteFshape(
+        vertices=[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+        signals=np.zeros(4),
+        cells=[[0, 1, 2]],
+    )
+    with pytest.raises(ShootingDiverged, match="vertex 3 has metric diagonal 0"):
+        solve_spd(assemble_metric(fs, metric), np.ones(4))
+
+
+def _dense_metric(fs, metric):
+    """D(x) as a dense array, its cell blocks summed by np.add.at."""
+    geom = cell_geometry(fs)
+    m = fs.dim_d + 1
+    if metric.scheme == "lumped":
+        blocks = geom.volumes[:, None, None] * np.eye(m) / m
+    else:
+        blocks = geom.volumes[:, None, None] * (1.0 + np.eye(m)) / (m * (m + 1))
+        if metric.order == 1:
+            blocks = blocks + _stiffness_local(geom)
+    dense = np.zeros((fs.n_vertices,) * 2)
+    np.add.at(dense, (fs.cells[:, :, None], fs.cells[:, None, :]), blocks)
+    return dense
+
+
+DENSE_MESHES = {
+    "segment": lambda: DiscreteFshape([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [1.0, 3.0], [[0, 1]]),
+    "triangle_strip": lambda: triangle_strip(6, seed=33),
+    "jittered_grid": lambda: jittered_grid(34),
+    "icosphere": lambda: icosphere(2),
+}
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS)
+@pytest.mark.parametrize("mesh", sorted(DENSE_MESHES))
+def test_sparse_product_matches_dense_assembly(mesh, metric):
+    fs = DENSE_MESHES[mesh]()
+    D = assemble_metric(fs, metric)
+    dense = _dense_metric(fs, metric)
+    assert np.abs(D.diagonal() - np.diag(dense)).max() <= 1e-15 * np.abs(dense).max()
+    rng = np.random.default_rng(35)
+    for v in (*np.eye(fs.n_vertices)[:3], *rng.standard_normal((3, fs.n_vertices))):
+        scale = (np.abs(dense) @ np.abs(v)).max()
+        assert np.abs(D @ v - dense @ v).max() <= 1e-15 * scale
+
+
+def test_pattern_is_built_once_per_connectivity(monkeypatch):
+    # every state of a shot and of its adjoint shares the template's cells,
+    # so the forward and the backward pass build one pattern between them
+    builds = []
+    build = CellPattern.from_cells
+    monkeypatch.setattr(
+        CellPattern, "from_cells", classmethod(lambda cls, *a: builds.append(1) or build(*a))
+    )
+    fs = icosphere(1)
+    rng = np.random.default_rng(36)
+    p0 = 0.1 * rng.standard_normal(fs.vertices.shape)
+    state0 = ShootingState(fs.vertices, fs.signals, p0, rng.standard_normal(fs.n_vertices))
+    cfg = DynamicsConfig(1.0, 1.0, gaussian(0.5), H1, n_steps=3)
+    traj = integrate_forward(state0, fs, cfg, keep_stages=True)
+    end = AdjointState(*(rng.standard_normal(a.shape) for a in (fs.vertices, fs.signals) * 2))
+    integrate_adjoint_backward(traj, end, fs, cfg)
+    assert len(builds) == 1
 
 
 def test_lumped_weights_match_matrix():

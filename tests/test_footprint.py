@@ -2,7 +2,8 @@
 
 Importing ``scipy.sparse`` alone adds about 0.2 s and 22 MB of resident
 memory to NumPy's (measured on a 2-core x86 host), which every command would
-pay; the signal metrics multiply their cell blocks with NumPy alone.
+pay; the signal metrics assemble and multiply their sparse matrices with
+NumPy alone.
 """
 
 import os

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metamorph import DiscreteFshape, validate_fshape
-from metamorph.fshape import cell_geometry
+from metamorph.fshape import cell_geometry, cross
 
 from conftest import triangle_strip
 
@@ -201,3 +201,9 @@ def test_volume_gradients_match_fd():
 def test_immutable_arrays(unit_triangle):
     with pytest.raises(ValueError):
         unit_triangle.vertices[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("T", [1, 320, 5120])
+def test_cross_is_numpys_cross(T):
+    a, b = np.random.default_rng(T).standard_normal((2, T, 3))
+    assert np.array_equal(cross(a, b), np.cross(a, b))

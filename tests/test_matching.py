@@ -301,16 +301,39 @@ def test_match_result_is_byte_identical_without_the_energy_check(monkeypatch):
     assert [z.tobytes() for z in arrays(a)] == [z.tobytes() for z in arrays(b)]
 
 
-def test_match_result_keeps_no_end_geometry():
-    # scoring and the gradient share the end state's fshape and its cell
-    # geometry; the returned trajectory keeps the shot, not that scratch
+def test_match_result_keeps_no_end_geometry(monkeypatch):
+    # scoring and the gradient share the end state's fshape, its cell
+    # geometry and the adjoint's stage points; the returned trajectory keeps
+    # the accepted shot's states, not that scratch
+    import metamorph.matching
+
+    shots = []
+    original = metamorph.matching.integrate_forward
+
+    def recording(*args, **kw):
+        shots.append(original(*args, **kw))
+        return shots[-1]
+
+    monkeypatch.setattr(metamorph.matching, "integrate_forward", recording)
     src = triangle_strip(4, seed=7)
     tgt = triangle_strip(4, seed=8)
     result = match(src, tgt, _config(scale_schedule=(ScaleStage(1.0, 1.0, 2),)))
-    assert "end" not in vars(result.trajectory)
-    assert len(result.trajectory.stages) == len(result.trajectory.solves) == 8
-    end = result.trajectory.end
-    assert np.array_equal(end.vertices, result.trajectory.final.x)
+    traj = result.trajectory
+    accepted = [
+        t for t in shots
+        if t is not None
+        and np.array_equal(t.initial.p, result.p0)
+        and np.array_equal(t.initial.pf, result.pf)
+    ][-1]
+    assert len(result.objective_history) > 1  # the accepted shot is a descent candidate
+    assert len(accepted.stages) == len(accepted.solves) == 8
+    for ours, theirs in zip(traj.states, accepted.states, strict=True):
+        for name in ("x", "f", "p", "pf"):
+            assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    assert traj.hamiltonians == accepted.hamiltonians
+    assert traj.stages == traj.solves == traj.velocities == ()
+    assert "end" not in vars(traj)
+    assert np.array_equal(traj.end.vertices, traj.final.x)
 
 
 def _patch_first_candidate(monkeypatch, broken_shot):
