@@ -4,14 +4,15 @@ Assembles the SPD matrices behind the L2 and H1 signal norms in compressed
 sparse rows (Saad, Iterative Methods for Sparse Linear Systems, 2003, §3.4):
 the pattern depends on the cells alone and is memoised per connectivity
 (``cell_pattern``), so each state's values are one ``np.bincount`` of its
-per-cell blocks, and ``A @ v`` is one ``np.add.reduceat``. Solves the
-associated linear systems with Jacobi-preconditioned conjugate gradients
-(Saad, §9.2; the lumped metric, a diagonal, by one division), and
-differentiates the quadratic form w.r.t. vertex positions. Curves and
-surfaces share one formula, read from the volume gradients of the fshape's
-memoised ``cell_geometry`` record: G_i = d(vol)/d(x_i) = vol * grad(lambda_i),
-with lambda_i the barycentric coordinate of cell vertex i. On a cell with
-vertex values h_t,
+per-cell blocks, and ``A @ v`` is one ``np.add.reduceat``. The lumped
+metric is a diagonal with no pattern: its entries are one ``np.bincount``
+of the cell volumes. Solves the associated linear systems with
+Jacobi-preconditioned conjugate gradients (Saad, §9.2; the lumped metric by
+one division), and differentiates the quadratic form w.r.t. vertex
+positions. Curves and surfaces share one formula, read from the volume
+gradients of the fshape's memoised ``cell_geometry`` record:
+G_i = d(vol)/d(x_i) = vol * grad(lambda_i), with lambda_i the barycentric
+coordinate of cell vertex i. On a cell with vertex values h_t,
 
 * the mass form is vol * h_t^T M h_t, with M the one reference matrix of
   the scheme: (1 + delta_ij) / ((d+1)(d+2)) for P1, I / (d+1) for lumped
@@ -86,33 +87,36 @@ class FunctionalMetric:
 
 @dataclass(frozen=True)
 class CellMatrix:
-    """A P x P matrix summed from per-cell blocks, in compressed sparse rows
-    on its cells' pattern: ``values[s]`` is the entry at slot s of
-    ``pattern``. ``is_diagonal`` marks a sum of diagonal blocks (the lumped
-    metric), whose off-diagonal values are zero.
+    """A P x P matrix summed from per-cell blocks: in compressed sparse rows
+    on its cells' pattern, ``values[s]`` the entry at slot s of ``pattern``;
+    or, with no pattern (the lumped metric), a diagonal whose entries are
+    ``values``.
     """
 
-    pattern: CellPattern
+    pattern: CellPattern | None
     values: np.ndarray
-    is_diagonal: bool
 
     @classmethod
     def from_blocks(cls, pattern: CellPattern, blocks: np.ndarray) -> "CellMatrix":
-        """Sum the blocks, (T, m, m) local matrices or (T, m) diagonals, cell
-        by cell into their slots, by one ``np.bincount``."""
-        is_diagonal = blocks.ndim == 2
-        slots = np.diagonal(pattern.slots, axis1=1, axis2=2) if is_diagonal else pattern.slots
-        values = np.bincount(slots.ravel(), weights=blocks.ravel(), minlength=pattern.cols.size)
-        return cls(pattern, values, is_diagonal)
+        """Sum the (T, m, m) local matrices cell by cell into their slots, by
+        one ``np.bincount``."""
+        slots = pattern.slots.ravel()
+        return cls(pattern, np.bincount(slots, weights=blocks.ravel(), minlength=pattern.cols.size))
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.pattern is None
 
     @property
     def n_vertices(self) -> int:
-        return self.pattern.row_starts.size
+        return self.values.size if self.pattern is None else self.pattern.row_starts.size
 
     def diagonal(self) -> np.ndarray:
-        return self.values[self.pattern.diagonal]
+        return self.values if self.pattern is None else self.values[self.pattern.diagonal]
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if self.pattern is None:
+            return self.values * v
         return np.add.reduceat(self.values * v[self.pattern.cols], self.pattern.row_starts)
 
 
@@ -133,10 +137,10 @@ def assemble_metric(fs: DiscreteFshape, metric: FunctionalMetric) -> CellMatrix:
     m = fs.dim_d + 1
     if metric.scheme == "lumped":
         local = np.repeat(geom.volumes[:, None] / m, m, axis=1)
-    else:
-        local = geom.volumes[:, None, None] * _MASS_LOCAL["p1", fs.dim_d]
-        if metric.order == 1:
-            local += _stiffness_local(geom)
+        return CellMatrix(None, scatter_cells(fs.cells, local, fs.n_vertices))
+    local = geom.volumes[:, None, None] * _MASS_LOCAL["p1", fs.dim_d]
+    if metric.order == 1:
+        local += _stiffness_local(geom)
     return CellMatrix.from_blocks(cell_pattern(fs), local)
 
 

@@ -303,6 +303,25 @@ def test_pattern_is_built_once_per_connectivity(monkeypatch):
     assert len(builds) == 1
 
 
+def test_lumped_metric_builds_no_pattern(monkeypatch):
+    # the lumped metric is a diagonal: a shot and its adjoint under it build
+    # no compressed-sparse-row pattern
+    builds = []
+    build = CellPattern.from_cells
+    monkeypatch.setattr(
+        CellPattern, "from_cells", classmethod(lambda cls, *a: builds.append(1) or build(*a))
+    )
+    fs = icosphere(1)
+    rng = np.random.default_rng(37)
+    p0 = 0.1 * rng.standard_normal(fs.vertices.shape)
+    state0 = ShootingState(fs.vertices, fs.signals, p0, rng.standard_normal(fs.n_vertices))
+    cfg = DynamicsConfig(1.0, 1.0, gaussian(0.5), L2_LUMPED, n_steps=3)
+    traj = integrate_forward(state0, fs, cfg, keep_stages=True)
+    end = AdjointState(*(rng.standard_normal(a.shape) for a in (fs.vertices, fs.signals) * 2))
+    integrate_adjoint_backward(traj, end, fs, cfg)
+    assert builds == []
+
+
 def test_lumped_weights_match_matrix():
     fs = jittered_grid(14)
     np.testing.assert_allclose(

@@ -20,7 +20,8 @@ from metamorph import (
     to_varifold,
 )
 from metamorph.dynamics import euclidean_objective_gradient
-from metamorph.matching import ScaleStage
+from metamorph.fem import assemble_metric
+from metamorph.matching import STEP_GROW, ScaleStage, _two_loop
 from metamorph.meshes import icosphere
 
 from conftest import triangle_strip
@@ -119,7 +120,7 @@ def test_match_h1_descent_reaches_lbfgs_reference():
         fidelity_kernels=_kernels(sigma_p=0.4),
         metric=FunctionalMetric(1, "p1"),
         n_steps=2,
-        scale_schedule=(ScaleStage(1.0, 1.0, 60),),
+        scale_schedule=(ScaleStage(1.0, 1.0, 20),),
     )
     J_match = match(src, tgt, cfg).objective_history[-1][1]
 
@@ -213,11 +214,12 @@ def test_match_shoots_each_momenta_once(monkeypatch):
     assert len(shots) == len(set(shots))
 
 
-def _record_shots(monkeypatch, drop_energy_bound=False):
+def _record_shots(monkeypatch, drop_energy_bound=False, trajectories=None):
     """Route match's shots through a wrapper that records, per shot, whether
     it stopped on its energy, how many flow-field evaluations it made (one
-    ``quad_form_grad_x`` each) and its energy bound; with
-    ``drop_energy_bound`` the wrapper shoots every candidate in full."""
+    ``quad_form_grad_x`` each) and its energy bound, and appends the shot's
+    trajectory to ``trajectories`` when given; with ``drop_energy_bound`` the
+    wrapper shoots every candidate in full."""
     import metamorph.dynamics
     import metamorph.matching
 
@@ -234,6 +236,8 @@ def _record_shots(monkeypatch, drop_energy_bound=False):
         before = len(rhs)
         traj = original(state0, template, cfg, **kw)
         shots.append((traj is None, len(rhs) - before, bound))
+        if trajectories is not None:
+            trajectories.append(traj)
         return traj
 
     monkeypatch.setattr(metamorph.matching, "integrate_forward", shot)
@@ -244,7 +248,8 @@ PRUNING_SCHEDULE = (ScaleStage(2.0, 2.0, 4), ScaleStage(1.0, 1.0, 4))
 
 
 def test_candidate_reaching_j_on_its_energy_costs_one_rhs(monkeypatch):
-    shots = _record_shots(monkeypatch)
+    trajectories = []
+    shots = _record_shots(monkeypatch, trajectories=trajectories)
     src = triangle_strip(4, seed=7)
     tgt = triangle_strip(4, seed=8)
     cfg = _config(step_init=10.0, scale_schedule=PRUNING_SCHEDULE)
@@ -254,11 +259,88 @@ def test_candidate_reaching_j_on_its_energy_costs_one_rhs(monkeypatch):
     assert len(pruned) >= 3
     assert pruned == [1] * len(pruned)
     assert full == [4 * cfg.n_steps] * len(full)
-    # every shot but the opening one is a candidate, bounded by the J it has
-    # to beat: the last accepted one
-    bounds = [bound for _, _, bound in shots[1:]]
+    # every shot but the opening one is a candidate, and its bound, the
+    # Armijo threshold, lies strictly below the J it has to beat, the last
+    # accepted one; an accepted candidate's J is at or below its bound
     assert shots[0][2] is None
-    assert set(bounds) <= {row[1] for row in result.objective_history}
+    rows = result.objective_history
+    k = 0
+    for (_, _, bound), traj in zip(shots[1:], trajectories[1:], strict=True):
+        while k + 1 < len(rows) and rows[k + 1][0] == rows[k][0]:
+            k += 1  # a stage boundary re-scores the same momenta
+        assert bound < rows[k][1]
+        if traj is not None and k + 1 < len(rows) and traj.energy == rows[k + 1][2]:
+            k += 1
+            assert rows[k][1] <= bound
+    assert k == len(rows) - 1
+
+
+def test_two_loop_matches_the_dense_inverse_bfgs_update():
+    # H0 = gamma diag(I, D), then H <- (I - rho s y')H(I - rho y s') + rho s s'
+    # per pair, oldest first, with gamma = s'y / y' diag(I, D) y of the newest
+    rng = np.random.default_rng(21)
+    k, m = 6, 4
+    n = k + m
+    A = rng.standard_normal((m, m))
+    D = A @ A.T + m * np.eye(m)
+    P = np.eye(n)
+    P[k:, k:] = D
+    B = rng.standard_normal((n, n))
+    B = B @ B.T + np.eye(n)
+    pairs = []
+    for _ in range(5):
+        s = rng.standard_normal(n)
+        y = B @ s + 0.1 * rng.standard_normal(n)
+        assert s @ y > 0
+        pairs.append((s, y, 1.0 / (s @ y)))
+    s, y, rho = pairs[-1]
+    H = (s @ y) / (y @ P @ y) * P
+    for s, y, rho in pairs:
+        V = np.eye(n) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    g = rng.standard_normal(n)
+    d = _two_loop(g, pairs, lambda v: P @ v)
+    assert np.abs(d + H @ g).max() <= 1e-12 * np.abs(H @ g).max()
+
+
+def test_pairless_candidates_take_the_carried_step(monkeypatch):
+    # no curvature pair exists at a stage's first iteration: its candidates
+    # are p0 - step gp, pf - step D(x0) gpf with the gradient-descent step,
+    # step_init at first and t step STEP_GROW after an accepted iteration
+    import metamorph.matching
+
+    events = []
+    shoot_original = metamorph.matching.integrate_forward
+    grad_original = metamorph.matching.euclidean_objective_gradient
+
+    def shot(state0, template, cfg, **kw):
+        events.append(("shot", state0.p, state0.pf))
+        return shoot_original(state0, template, cfg, **kw)
+
+    def gradient(p0, pf, problem, trajectory=None):
+        gp, gpf = grad_original(p0, pf, problem, trajectory=trajectory)
+        events.append(("grad", p0, pf, gp, gpf))
+        return gp, gpf
+
+    monkeypatch.setattr(metamorph.matching, "integrate_forward", shot)
+    monkeypatch.setattr(metamorph.matching, "euclidean_objective_gradient", gradient)
+    src = triangle_strip(4, seed=7)
+    tgt = triangle_strip(4, seed=8)
+    cfg = _config(step_init=10.0, scale_schedule=(ScaleStage(2.0, 2.0, 1), ScaleStage(1.0, 1.0, 1)))
+    result = match(src, tgt, cfg)
+    assert [row[0] for row in result.objective_history] == [0, 1, 1, 2]
+    D = assemble_metric(src, cfg.metric)
+    grads = [k for k, e in enumerate(events) if e[0] == "grad"]
+    assert len(grads) == 2
+    step = cfg.step_init
+    for start, end in zip(grads, grads[1:] + [len(events)]):
+        _, p0, pf, gp, gpf = events[start]
+        candidates = events[start + 1 : end]
+        assert candidates
+        assert candidates[0][1].tobytes() == (p0 - step * gp).tobytes()
+        assert candidates[0][2].tobytes() == (pf - step * (D @ gpf)).tobytes()
+        step = 0.5 ** (len(candidates) - 1) * step * STEP_GROW
+    assert grads[1] - grads[0] > 2  # stage 1 rejected a candidate: its step halved
 
 
 def test_energy_bound_stops_at_and_above_the_shots_energy():
